@@ -258,16 +258,22 @@ def _parse_curve_csv(text: str):
             sidecar = json.loads(line[1:])
             if "interior_witness" in sidecar:
                 re, im = sidecar["interior_witness"]
-                witness = complex(float(re), float(im))
+                witness = _finite_point(float(re), float(im), line)
             continue
         fields = line.split(",")
         if len(fields) != 3:
             raise ValueError(f"malformed CSV row: {line!r}")
         _, re, im = (float(f) for f in fields)
-        points.append(complex(re, im))
+        points.append(_finite_point(re, im, line))
     if not points:
         raise ValueError("CSV contains no data rows")
     return points, witness
+
+
+def _finite_point(re: float, im: float, line: str) -> complex:
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"non-finite coordinate in CSV line: {line!r}")
+    return complex(re, im)
 
 
 def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -284,6 +290,8 @@ def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-9 * span else t)
+        if t + step == t:  # step below the float spacing at t: t stays put
+            break
         t += step
     return ticks
 
@@ -300,6 +308,8 @@ def _render_svg(points: list[complex], witness: complex | None) -> str:
     y_pad = 0.08 * (y_hi - y_lo) or 0.5
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    if not (0.0 < x_hi - x_lo < math.inf and 0.0 < y_hi - y_lo < math.inf):
+        raise ValueError("the CSV's extent is zero or overflows at its magnitude")
 
     def px(x: float) -> float:
         return m_left + (x - x_lo) / (x_hi - x_lo) * (width - m_left - m_right)

@@ -78,6 +78,9 @@ __all__ = [
 _DENOM_FLOOR = 1e-300
 _MIN_BOUNDARY_SAMPLES = 4
 _MIN_POLYGON_POINTS = 3
+#: Query rows per block of the point-against-edges geometry: a block of a
+#: 4096-gon is a 1 MB complex buffer, small enough to stay in cache.
+_ROW_BLOCK = 16
 
 
 # --------------------------------------------------------------------------
@@ -534,6 +537,27 @@ def convexity_defect(boundary) -> float:
     return float(np.min(cross[keep] / norms[keep]))
 
 
+def _row_minima(queries: np.ndarray, n_cols: int, fill) -> np.ndarray:
+    """Per-query minimum over ``n_cols`` columns, one block of queries at a time.
+
+    ``fill(q, work, values)`` gets a block's queries as a column ``q`` and
+    writes their values against every column into ``values``, using the
+    complex buffer ``work`` of the same ``(rows, n_cols)`` shape as scratch.
+    Both buffers are allocated once per call, so memory is
+    O(``_ROW_BLOCK`` * ``n_cols``) whatever the number of queries.
+    """
+    out = np.empty(len(queries))
+    rows = min(_ROW_BLOCK, len(queries))
+    work = np.empty((rows, n_cols), dtype=np.complex128)
+    values = np.empty((rows, n_cols))
+    for start in range(0, len(queries), _ROW_BLOCK):
+        q = queries[start : start + _ROW_BLOCK, None]
+        k = len(q)
+        fill(q, work[:k], values[:k])
+        np.min(values[:k], axis=1, out=out[start : start + k])
+    return out
+
+
 def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Max over edges of the signed distance outside each edge line.
 
@@ -546,9 +570,16 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     keep = np.abs(edges) > 0.0
     e = edges[keep]
     base = v[keep]
-    diff = queries[:, None] - base[None, :]
-    inward = orient * np.imag(np.conjugate(e)[None, :] * diff) / np.abs(e)[None, :]
-    return -np.min(inward, axis=1)
+    conj_e = np.conjugate(e)
+    # x / (orient |e|) equals (orient x) / |e| bit for bit: negation is exact
+    scale = orient * np.abs(e)
+
+    def fill(q, work, inward):
+        np.subtract(q, base, out=work)
+        np.multiply(conj_e, work, out=work)
+        np.divide(work.imag, scale, out=inward)
+
+    return -_row_minima(queries, len(e), fill)
 
 
 def containment_depths(result, points) -> np.ndarray:
@@ -556,7 +587,8 @@ def containment_depths(result, points) -> np.ndarray:
 
     Negative values are inside the polygon (minus the distance to the
     nearest edge line), positive values are outside; ``contains`` is the
-    thresholded form of this.
+    thresholded form of this.  Time is O(q * N) for q points and N
+    vertices; memory is O(block * N), with a fixed block of points.
     """
     v = _vertices(result)
     q = np.atleast_1d(np.asarray(points, dtype=np.complex128))
@@ -601,17 +633,29 @@ def convex_hull(points) -> np.ndarray:
 
 
 def distance_to_boundary(boundary, queries) -> np.ndarray:
-    """Distance from each query point to a closed polyline."""
+    """Distance from each query point to a closed polyline.
+
+    Time is O(q * N) for q queries and N vertices; memory is O(block * N),
+    with a fixed block of queries.
+    """
     v = np.asarray(boundary, dtype=np.complex128)
     q = np.atleast_1d(np.asarray(queries, dtype=np.complex128))
-    a = v
     d = np.roll(v, -1) - v
+    conj_d = np.conjugate(d)
     length_sq = np.abs(d) ** 2
     safe = np.where(length_sq > 0.0, length_sq, 1.0)
-    t = np.real(np.conjugate(d)[None, :] * (q[:, None] - a[None, :])) / safe[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :] + t * d[None, :]
-    return np.min(np.abs(q[:, None] - proj), axis=1)
+
+    def fill(qb, work, dist):
+        np.subtract(qb, v, out=work)
+        np.multiply(conj_d, work, out=work)
+        np.divide(work.real, safe, out=dist)  # segment parameter t
+        np.clip(dist, 0.0, 1.0, out=dist)
+        np.multiply(dist, d, out=work)
+        np.add(v, work, out=work)  # nearest point of each segment
+        np.subtract(qb, work, out=work)
+        np.abs(work, out=dist)
+
+    return _row_minima(q, len(v), fill)
 
 
 def hausdorff_distance(curve_a, curve_b) -> float:

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schurvar
 from schurvar.cli import main
 
 INTERIOR = {"coefficients": [[0.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
@@ -353,3 +358,42 @@ def test_plot_missing_input(tmp_path, capsys):
         ["plot", "--input", str(tmp_path / "no.csv"), "--output", str(tmp_path / "o.svg")],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0.0, 0.0), (math.inf, 0.0), (0.0, 1.0)],  # non-finite coordinate
+        [(1e20, 0.0), (1e20, 1.0), (1e20, 2.0)],  # x extent rounds to zero
+        [(-1e308, 0.0), (1e308, 1.0), (0.0, 2.0)],  # x extent overflows
+    ],
+)
+def test_plot_rejects_unplottable_coordinates(tmp_path, capsys, rows):
+    path = tmp_path / "bad.csv"
+    body = "".join(f"{k},{re!r},{im!r}\n" for k, (re, im) in enumerate(rows))
+    path.write_text("theta,re,im\n" + body)
+    code = main(["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
+def test_plot_ends_on_extent_below_float_spacing(tmp_path):
+    # the tick step is below the spacing of floats near 1, so t += step
+    # no longer moves t; run as a child so a regression fails, not hangs
+    tiny = 1.0 + 2.0**-52
+    path = tmp_path / "tiny.csv"
+    path.write_text(f"theta,re,im\n0,1.0,1.0\n1,{tiny!r},1.0\n2,1.0,{tiny!r}\n")
+    svg = tmp_path / "tiny.svg"
+    src = str(Path(schurvar.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurvar", "plot", "--input", str(path)]
+        + ["--output", str(svg)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert svg.read_text().startswith("<svg")

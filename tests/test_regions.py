@@ -1,6 +1,7 @@
 """Region machinery: integrand, curve, dispatch, closed form, oracle, geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,80 @@ def test_hausdorff_detects_translation():
     b = circle(128, center=0.1)
     got = hausdorff_distance(a, b)
     assert abs(got - 0.1) < 1e-3
+
+
+# Reference formulas over whole (queries x edges) matrices.  The blocked
+# geometry puts every element through the same operations in the same
+# order, so it must match them bit for bit.
+
+
+def unblocked_depths(v, queries):
+    shoelace = float(np.sum(np.imag(np.conjugate(v) * np.roll(v, -1))))
+    orient = 1.0 if shoelace >= 0.0 else -1.0
+    edges = np.roll(v, -1) - v
+    keep = np.abs(edges) > 0.0
+    e = edges[keep]
+    base = v[keep]
+    diff = queries[:, None] - base[None, :]
+    inward = orient * np.imag(np.conjugate(e)[None, :] * diff) / np.abs(e)[None, :]
+    return -np.min(inward, axis=1)
+
+
+def unblocked_distances(v, q):
+    d = np.roll(v, -1) - v
+    length_sq = np.abs(d) ** 2
+    safe = np.where(length_sq > 0.0, length_sq, 1.0)
+    t = np.real(np.conjugate(d)[None, :] * (q[:, None] - v[None, :])) / safe[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    proj = v[None, :] + t * d[None, :]
+    return np.min(np.abs(q[:, None] - proj), axis=1)
+
+
+def wobbly_polygon(n):
+    t = 2.0 * np.pi * np.arange(n) / n
+    return 0.3 + 0.1j + np.exp(1j * t) + 0.2 * np.exp(-2j * t) / 3.0
+
+
+GEOMETRY_POLYGONS = {
+    "ccw": wobbly_polygon(257),
+    "cw": wobbly_polygon(257)[::-1].copy(),
+    "repeated": np.repeat(circle(40), [1, 3] * 20),  # zero-length edges
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 1000])
+@pytest.mark.parametrize("shape", sorted(GEOMETRY_POLYGONS))
+def test_blocked_geometry_is_bit_identical_to_unblocked(shape, count):
+    v = GEOMETRY_POLYGONS[shape]
+    rng = np.random.default_rng(count)
+    # inside, near and outside the boundary, plus the vertices themselves
+    q = 1.6 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    q[: min(count, 5)] = v[: min(count, 5)]
+    assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
+    assert np.array_equal(distance_to_boundary(v, q), unblocked_distances(v, q))
+    if count:
+        assert contains(v, q[0]) == bool(unblocked_depths(v, q[:1])[0] <= 1e-6)
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_geometry_memory_does_not_grow_with_query_count():
+    # whole (queries x edges) temporaries took 156 MB for containment and
+    # 768 MB for the Hausdorff distance at these sizes
+    n = 4096
+    v = wobbly_polygon(n)
+    rng = np.random.default_rng(3)
+    q = 0.5 * np.sqrt(rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
+    assert traced_peak_mb(containment_depths, v, q) < 16.0
+    w = v * np.exp(1j * np.pi / n)
+    assert traced_peak_mb(hausdorff_distance, v, w) < 16.0
 
 
 def test_enclosed_area_frozen_values():
