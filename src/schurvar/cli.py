@@ -15,7 +15,9 @@ Commands
 
 Exit codes: 0 success, 1 property failure (verify), 2 malformed input,
 3 classification mismatch (region commands on non-interior data),
-4 numerical failure (quadrature or geometry).  All output is
+4 numerical failure (quadrature or geometry).  ``--samples`` is capped
+at ``MAX_SAMPLES`` and ``--count`` at ``MAX_COUNT``, so that no request can
+exhaust memory; larger values exit 2.  All output is
 deterministic for fixed input bytes, flags, and seed.
 
 Complex values serialize as two-element ``[re, im]`` arrays in JSON and
@@ -70,6 +72,12 @@ EXIT_INPUT_ERROR = 2
 EXIT_CLASSIFICATION_MISMATCH = 3
 EXIT_NUMERICAL_FAILURE = 4
 
+#: Largest ``--samples``.  A boundary integrated sample by sample holds a
+#: few (samples x 15) complex arrays: a process peaks near 160 MB here.
+MAX_SAMPLES = 65536
+#: Largest ``--count``.  The oracle holds (count x 6 x 15) complex arrays:
+#: a process peaks near 80 MB here.
+MAX_COUNT = 10000
 _VERIFY_LAWS = ("mirror", "determinant", "coercivity", "domination")
 _VERIFY_BOUND = 1e-10
 _NUMERICAL_ERRORS = (
@@ -154,7 +162,13 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
+    _at_most("--samples", args.samples, MAX_SAMPLES)
     data, domain = _load_input(args.input, args.domain)
     tol = ToleranceConfig(quad_tol=_quad_tol(args))
     cls = schur_parameters(data, tol)
@@ -197,6 +211,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _at_most("--count", args.count, MAX_COUNT)
     request, cls = _interior_request(args)
     payload: dict[str, object]
     if args.count == 0:
@@ -289,7 +304,10 @@ def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
     ticks = []
     t = first
     while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-9 * span else t)
+        # rounding in ceil(lo / step) * step or in t += step can put a
+        # tick a few ulps outside [lo, hi]: clamp it onto the axis
+        tick = 0.0 if abs(t) < 1e-9 * span else t
+        ticks.append(min(max(tick, lo), hi))
         if t + step == t:  # step below the float spacing at t: t stays put
             break
         t += step

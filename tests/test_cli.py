@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import schurvar
-from schurvar.cli import main
+from schurvar import cli
+from schurvar.cli import MAX_COUNT, MAX_SAMPLES, main
 
 INTERIOR = {"coefficients": [[0.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
 BOUNDARY = {"coefficients": [[1.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
@@ -242,6 +244,34 @@ def test_sample_zero_count(capsys, write_json):
     assert out.strip() == '{"count": 0, "inside": 0, "max_signed_distance": null}'
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("computed a request above the cap")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("boundary", "--samples", 10**10),
+        ("boundary", "--samples", MAX_SAMPLES + 1),
+        ("sample", "--samples", 10**10),
+        ("sample", "--count", MAX_COUNT + 1),
+    ],
+)
+def test_sizes_above_their_caps_are_refused_before_computing(
+    capsys, write_json, monkeypatch, command, flag, value
+):
+    monkeypatch.setattr(cli, "region", refuse)
+    monkeypatch.setattr(cli, "oracle_samples", refuse)
+    argv = [command, "--input", write_json(INTERIOR), "--z0", "0.3", flag, str(value)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    argv[-1] = str(MAX_SAMPLES if flag == "--samples" else MAX_COUNT)
+    with pytest.raises(AssertionError):
+        main(argv)  # the cap itself is accepted
+
+
 def test_sample_flat_data_all_inside(capsys, write_json):
     argv = [
         "sample",
@@ -396,4 +426,15 @@ def test_plot_ends_on_extent_below_float_spacing(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert svg.read_text().startswith("<svg")
+    text = svg.read_text()
+    assert text.startswith("<svg")
+    # ceil(1 / step) * step rounds below 1: no tick may leave the plot area
+    ticks = re.findall(
+        r'class="tick" x1="([-\d.]+)" y1="([-\d.]+)" x2="([-\d.]+)" y2="([-\d.]+)"', text
+    )
+    assert ticks
+    for x1, y1, x2, y2 in (tuple(map(float, t)) for t in ticks):
+        if x1 == x2:  # a tick on the x axis
+            assert 62.0 <= x1 <= 622.0
+        else:
+            assert y1 == y2 and 18.0 <= y1 <= 438.0

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import schurvar.regions
 from schurvar import (
     BranchCutHit,
     CaratheodoryData,
     ContractViolation,
     Empty,
+    GeometryDegenerate,
     Jordan,
     RegionRequest,
     SinglePoint,
@@ -27,6 +29,7 @@ from schurvar import (
     half_plane,
     hausdorff_distance,
     integrand,
+    integrate_segment,
     log_derivative_curve,
     log_derivative_setup,
     oracle_samples,
@@ -161,6 +164,79 @@ def test_boundary_closed_form_for_flat_data():
     angles, values = boundary_curve(s, -1, Z0, half_plane(), 64)
     want = -np.log(1.0 - np.exp(1j * angles) * Z0**2)
     assert np.max(np.abs(values - want)) < 1e-10
+
+
+# The boundary integrated directly at every requested epsilon, as one
+# shared-panel batch.  The spectral boundary resamples fewer epsilons; it
+# must agree with this to rounding, and equal it where it takes this path.
+
+
+def direct_boundary(s, j, z0, domain, n):
+    eps = np.exp(2j * np.pi * (np.arange(n) / n))[:, None]
+    return integrate_segment(lambda zeta: integrand(s, eps, j, domain, zeta), z0, 1e-10)
+
+
+SPECTRAL_DOMAINS = {"half-plane": half_plane(), "strip": strip(), "disk": disk(0.3 - 0.2j, 1.5)}
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("label", sorted(SPECTRAL_DOMAINS))
+def test_spectral_boundary_matches_direct_integration(label, radius):
+    domain = SPECTRAL_DOMAINS[label]
+    s = build_polynomials((0.3 + 0.2j, -0.4j, 0.5, 0.1 - 0.3j, 0.2))
+    z0 = radius * np.exp(0.7j)
+    for j in (-1, 0, 2):
+        # 1024 samples: the a-priori M (512 at |z0| = 0.95) stays below N
+        _, values = boundary_curve(s, j, z0, domain, 1024)
+        want = direct_boundary(s, j, z0, domain, 1024)
+        assert np.max(np.abs(values - want)) < 1e-13
+
+
+def test_spectral_boundary_at_a_count_that_is_no_power_of_two():
+    s = build_polynomials((0.2, -0.3j, 0.1))
+    angles, values = boundary_curve(s, 0, 0.7, strip(), 1000)
+    assert np.array_equal(angles, 2.0 * np.pi * (np.arange(1000) / 1000))
+    assert np.max(np.abs(values - direct_boundary(s, 0, 0.7, strip(), 1000))) < 1e-13
+
+
+def test_spectral_boundary_doubles_until_the_tail_is_small(monkeypatch):
+    # order-0 data on the half-plane: the coefficients 2 z0^(k+1) / (k+1)
+    # are still above 1e-10 in the upper half of the a-priori 32
+    counts = []
+    equispaced = schurvar.regions._equispaced_values
+
+    def spy(*args):
+        counts.append(args[4])
+        return equispaced(*args)
+
+    monkeypatch.setattr(schurvar.regions, "_equispaced_values", spy)
+    s = build_polynomials((0.0,))
+    _, values = boundary_curve(s, 0, 0.3, half_plane(), 4096)
+    assert counts == [32, 64]
+    assert np.max(np.abs(values - direct_boundary(s, 0, 0.3, half_plane(), 4096))) < 1e-13
+
+
+def test_boundary_below_the_spectral_count_is_integrated_directly():
+    s = build_polynomials((0.2, -0.3j, 0.1))
+    _, values = boundary_curve(s, 2, 0.5, disk(0.1, 2.0), 8)
+    assert np.array_equal(values, direct_boundary(s, 2, 0.5, disk(0.1, 2.0), 8))
+
+
+def test_boundary_cost_does_not_grow_with_sample_count(monkeypatch):
+    points = []
+
+    def counting(set_, epsilon, j, domain, zeta):
+        points.append(np.broadcast(epsilon, zeta).size)
+        return integrand(set_, epsilon, j, domain, zeta)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    s = build_polynomials((0.2, -0.3j, 0.1, 0.4))
+    totals = []
+    for n in (512, 4096):
+        points.clear()
+        boundary_curve(s, -1, 0.5j, half_plane(), n)
+        totals.append(sum(points))
+    assert totals[0] == totals[1] > 0
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +384,26 @@ def test_oracle_is_deterministic():
     b = oracle_samples((0.0, 0.5), half_plane(), -1, Z0, seed=11, count=8)
     assert [s.value for s in a] == [s.value for s in b]
     assert [s.zeros for s in a] == [s.zeros for s in b]
+
+
+def three_call_draw(rng):
+    degree = int(rng.integers(0, 7))
+    radii = 0.95 * np.sqrt(rng.random(degree))
+    angles = 2.0 * np.pi * rng.random(degree)
+    zeros = radii * np.exp(1j * angles)
+    front = complex(np.exp(2j * np.pi * rng.random()))
+    return degree, zeros, front
+
+
+def test_oracle_draws_equal_one_uniform_call_per_factor():
+    for seed in (0, 5, 2024):
+        draws = oracle_samples((0.3, 0.1j), strip(), 0, 0.4, seed=seed, count=300)
+        rng = np.random.default_rng(seed)
+        for got in draws:
+            degree, zeros, front = three_call_draw(rng)
+            assert got.blaschke_degree == degree
+            assert got.zeros == tuple(zeros.tolist())
+            assert got.unimodular_factor == front
 
 
 def test_oracle_draw_shapes():
@@ -528,6 +624,23 @@ def test_enclosed_area_is_stable_under_resampling():
     a64, a128 = enclosed_area(curve(64)), enclosed_area(curve(128))
     assert abs(a64 - want) < 1e-12
     assert abs(a64 - a128) < 1e-12
+
+
+def test_contains_rejects_a_polygon_without_edges():
+    with pytest.raises(GeometryDegenerate):
+        contains([1, 1, 1], 0.5)
+
+
+def test_containment_depths_rejects_a_polygon_without_edges():
+    with pytest.raises(GeometryDegenerate):
+        containment_depths(np.full(5, 0.2 + 0.1j), [0.5, 0.0])
+
+
+def test_distance_to_boundary_rejects_an_empty_polyline():
+    with pytest.raises(ContractViolation):
+        distance_to_boundary([], [0.5])
+    with pytest.raises(ContractViolation):
+        hausdorff_distance([], [0.5])
 
 
 def test_geometry_rejects_degenerate_inputs():
