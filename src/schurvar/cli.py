@@ -122,8 +122,8 @@ def _quad_tol(args) -> float:
     env = os.environ.get("SCHUR_QUAD_TOL")
     if env:
         value = float(env)
-        if value <= 0:
-            raise ValueError("SCHUR_QUAD_TOL must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError("SCHUR_QUAD_TOL must be positive and finite")
         return value
     return 1e-10
 

@@ -257,10 +257,12 @@ def _equispaced_values(
     domain: DomainMap,
     count: int,
     quad_tol: float,
+    shift: float = 0.0,
 ) -> np.ndarray:
-    """Extremal values at ``count`` equispaced unimodular epsilons, as one
-    batch: shared panels, refined until the worst member converges."""
-    eps_col = np.exp(2j * np.pi * (np.arange(count) / count))[:, None]
+    """Extremal values at the ``count`` unimodular epsilons
+    ``exp(2 pi i (k + shift) / count)``, as one batch: shared panels,
+    refined until the worst member converges."""
+    eps_col = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))[:, None]
 
     def f(zeta):
         return integrand(set_, eps_col, j, domain, zeta)
@@ -281,35 +283,47 @@ def boundary_curve(
     Returns ``(angles, values)`` with ``angles[k] = 2 pi k / n_samples``.
 
     The boundary value is a power series in ``epsilon`` that converges for
-    ``|epsilon| < 1 / |z0|``, so its coefficients decay like ``|z0|^k``.
-    The values are integrated at ``M`` equispaced epsilons only, starting
-    from the smallest power of two ``M >= max(16, log(quad_tol) /
-    log|z0|)``; when the upper half of their discrete Fourier spectrum is
-    at most ``quad_tol``, the ``n_samples`` values are one zero-padded
-    inverse FFT of it, and otherwise ``M`` doubles.  Once ``M`` reaches
-    ``n_samples`` the requested epsilons are integrated directly.  The cost
-    therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256 at 0.9 for the
-    default tolerance), not with ``n_samples``, and the values agree with
-    direct integration to rounding.
+    ``|epsilon| < 1 / |z0|``, so its coefficients decay at least like
+    ``|z0|^k``.  The values are integrated at ``M`` equispaced epsilons
+    only, starting from the smallest power of two ``M >= max(16,
+    log(quad_tol) / log|z0|)``; when the upper half of their discrete
+    Fourier spectrum is at most ``quad_tol``, the ``n_samples`` values are
+    one zero-padded inverse FFT of it.  Otherwise ``M`` doubles, and only
+    the ``M`` new epsilons halfway between the old ones are integrated.
+    When ``M`` reaches a power-of-two ``n_samples`` these are the requested
+    samples; any other ``n_samples`` below ``2 M`` is integrated directly.
+    The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256 at 0.9
+    for the default tolerance), not with ``n_samples``.  A batch of a
+    subset of the requested epsilons never takes more panels than all of
+    them, so a power-of-two ``n_samples`` never costs more quadrature
+    points than integrating it at once.  The values agree with direct
+    integration to rounding.
     """
     z0 = _check_endpoint(z0)
     if n_samples < _MIN_BOUNDARY_SAMPLES:
         raise ContractViolation(
             f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
         )
-    if not quad_tol > 0.0:
-        raise ContractViolation("quadrature tolerance must be positive")
+    if not 0.0 < quad_tol < math.inf:
+        raise ContractViolation("quadrature tolerance must be positive and finite")
     angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
     decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
     m = 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length()
+    if m >= n_samples:
+        return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
+    values = _equispaced_values(set_, j, z0, domain, m, quad_tol)
     while m < n_samples:
-        coeffs = np.fft.fft(_equispaced_values(set_, j, z0, domain, m, quad_tol)) / m
+        coeffs = np.fft.fft(values) / m
         if np.max(np.abs(coeffs[m // 2 :])) <= quad_tol:
             padded = np.zeros(n_samples, dtype=np.complex128)
             padded[:m] = coeffs
             return angles, np.fft.ifft(padded) * n_samples
+        if 2 * m > n_samples:
+            return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
+        between = _equispaced_values(set_, j, z0, domain, m, quad_tol, shift=0.5)
+        values = np.column_stack((values, between)).ravel()
         m *= 2
-    return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
+    return angles, values
 
 
 # --------------------------------------------------------------------------

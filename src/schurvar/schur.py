@@ -112,8 +112,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.cls_tol < 1.0):
             raise ContractViolation("cls_tol must lie in (0, 1)")
-        if self.quad_tol <= 0.0 or self.geom_tol <= 0.0:
-            raise ContractViolation("quad_tol and geom_tol must be positive")
+        if not (0.0 < self.quad_tol < math.inf and 0.0 < self.geom_tol < math.inf):
+            raise ContractViolation("quad_tol and geom_tol must be positive and finite")
 
 
 class ExteriorReason(Enum):

@@ -214,6 +214,16 @@ def test_quad_tol_env_and_flag_precedence(capsys, write_json, monkeypatch):
     assert code == 0  # explicit flag wins over the environment
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_quad_tol_that_is_not_positive_and_finite_is_invalid_input(capsys, write_json, monkeypatch, value):
+    path = write_json(INTERIOR)
+    code, out = run(capsys, boundary_args(path, extra=("--quad-tol", value)))
+    assert (code, out) == (2, "")
+    monkeypatch.setenv("SCHUR_QUAD_TOL", value)
+    code, out = run(capsys, boundary_args(path))
+    assert (code, out) == (2, "")
+
+
 def test_boundary_domain_override_changes_values(capsys, write_json):
     path = write_json(INTERIOR)
     _, half = run(capsys, boundary_args(path))

@@ -179,41 +179,78 @@ def direct_boundary(s, j, z0, domain, n):
 SPECTRAL_DOMAINS = {"half-plane": half_plane(), "strip": strip(), "disk": disk(0.3 - 0.2j, 1.5)}
 
 
+@pytest.mark.parametrize("n", [1000, 1024])
 @pytest.mark.parametrize("radius", [0.3, 0.7, 0.9, 0.95])
 @pytest.mark.parametrize("label", sorted(SPECTRAL_DOMAINS))
-def test_spectral_boundary_matches_direct_integration(label, radius):
+def test_spectral_boundary_matches_direct_integration(label, radius, n):
     domain = SPECTRAL_DOMAINS[label]
     s = build_polynomials((0.3 + 0.2j, -0.4j, 0.5, 0.1 - 0.3j, 0.2))
     z0 = radius * np.exp(0.7j)
     for j in (-1, 0, 2):
-        # 1024 samples: the a-priori M (512 at |z0| = 0.95) stays below N
-        _, values = boundary_curve(s, j, z0, domain, 1024)
-        want = direct_boundary(s, j, z0, domain, 1024)
+        # the a-priori M (512 at |z0| = 0.95) stays below N
+        angles, values = boundary_curve(s, j, z0, domain, n)
+        assert np.array_equal(angles, 2.0 * np.pi * (np.arange(n) / n))
+        want = direct_boundary(s, j, z0, domain, n)
         assert np.max(np.abs(values - want)) < 1e-13
 
 
-def test_spectral_boundary_at_a_count_that_is_no_power_of_two():
-    s = build_polynomials((0.2, -0.3j, 0.1))
-    angles, values = boundary_curve(s, 0, 0.7, strip(), 1000)
-    assert np.array_equal(angles, 2.0 * np.pi * (np.arange(1000) / 1000))
-    assert np.max(np.abs(values - direct_boundary(s, 0, 0.7, strip(), 1000))) < 1e-13
+def spy_on_batches(monkeypatch):
+    """``(count, shift)`` of every equispaced batch ``boundary_curve`` integrates."""
+    batches = []
+    equispaced = schurvar.regions._equispaced_values
+
+    def spy(*args, shift=0.0):
+        batches.append((args[4], shift))
+        return equispaced(*args, shift=shift)
+
+    monkeypatch.setattr(schurvar.regions, "_equispaced_values", spy)
+    return batches
 
 
 def test_spectral_boundary_doubles_until_the_tail_is_small(monkeypatch):
     # order-0 data on the half-plane: the coefficients 2 z0^(k+1) / (k+1)
-    # are still above 1e-10 in the upper half of the a-priori 32
-    counts = []
-    equispaced = schurvar.regions._equispaced_values
-
-    def spy(*args):
-        counts.append(args[4])
-        return equispaced(*args)
-
-    monkeypatch.setattr(schurvar.regions, "_equispaced_values", spy)
+    # are still above 1e-10 in the upper half of the a-priori 32; the
+    # doubling integrates only the 32 epsilons between the first ones
+    batches = spy_on_batches(monkeypatch)
     s = build_polynomials((0.0,))
     _, values = boundary_curve(s, 0, 0.3, half_plane(), 4096)
-    assert counts == [32, 64]
+    assert batches == [(32, 0.0), (32, 0.5)]
     assert np.max(np.abs(values - direct_boundary(s, 0, 0.3, half_plane(), 4096))) < 1e-13
+
+
+def test_boundary_whose_spectrum_needs_all_samples_costs_no_more_than_direct(monkeypatch):
+    # order 0 at |z0| = 0.9: the tail of the a-priori 256 is ~2e-8, so the
+    # 256 epsilons in between complete the 512 requested ones
+    points = []
+
+    def counting(set_, epsilon, j, domain, zeta):
+        points.append(np.broadcast(epsilon, zeta).size)
+        return integrand(set_, epsilon, j, domain, zeta)
+
+    batches = spy_on_batches(monkeypatch)
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    s = build_polynomials((0.0,))
+    _, values = boundary_curve(s, 0, 0.9, half_plane(), 512)
+    assert batches == [(256, 0.0), (256, 0.5)]
+    spent = sum(points)
+    points.clear()
+    want = schurvar.regions._equispaced_values(s, 0, 0.9, half_plane(), 512, 1e-10)
+    assert 0 < spent <= sum(points)
+    assert np.max(np.abs(values - want)) < 1e-13
+
+
+def test_boundary_whose_spectrum_fails_below_other_counts_is_integrated_directly(monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    s = build_polynomials((0.0,))
+    _, values = boundary_curve(s, 0, 0.9, half_plane(), 500)
+    assert batches == [(256, 0.0), (500, 0.0)]
+    assert np.array_equal(values, direct_boundary(s, 0, 0.9, half_plane(), 500))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+def test_boundary_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ContractViolation):
+        boundary_curve(build_polynomials((0.2,)), 0, 0.5, half_plane(), 64, tol)
 
 
 def test_boundary_below_the_spectral_count_is_integrated_directly():

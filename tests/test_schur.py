@@ -252,3 +252,8 @@ def test_tolerances_validate():
         ToleranceConfig(quad_tol=0.0)
     with pytest.raises(ContractViolation):
         ToleranceConfig(geom_tol=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ContractViolation):
+            ToleranceConfig(quad_tol=bad)
+        with pytest.raises(ContractViolation):
+            ToleranceConfig(geom_tol=bad)
