@@ -19,15 +19,13 @@ from .errors import (
     SchurvarError,
 )
 from .polynomials import (
-    Polynomial,
     SchurPolynomialSet,
     VariabilityDisk,
     build_polynomials,
     eval_poly,
     identity_residuals,
+    lift,
     omega_nested,
-    omega_rational,
-    schur_lift,
     variability_disk,
 )
 from .quadrature import integrate_segment
@@ -52,7 +50,6 @@ from .regions import (
     oracle_samples,
     q_value,
     region,
-    sample_member,
 )
 from .schur import (
     Boundary,
@@ -92,14 +89,12 @@ __all__ = [
     "schur_parameters",
     "data_from_parameters",
     # polynomials
-    "Polynomial",
     "SchurPolynomialSet",
     "VariabilityDisk",
     "build_polynomials",
     "eval_poly",
+    "lift",
     "omega_nested",
-    "omega_rational",
-    "schur_lift",
     "variability_disk",
     "identity_residuals",
     # domains
@@ -123,7 +118,6 @@ __all__ = [
     "region",
     "log_derivative_curve",
     "log_derivative_setup",
-    "sample_member",
     "oracle_samples",
     "contains",
     "containment_depths",

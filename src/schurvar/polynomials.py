@@ -26,66 +26,61 @@ so every rational expression below has a denominator bounded away from 0.
 
 The polynomials encode the full solution set of the interpolation problem:
 with ``omega_*`` ranging over self-maps of the disk, every interpolant of
-the data realized by ``gamma`` is
+the data realized by ``gamma`` is the Schur lift
 
     omega(z) = (z At(z) omega_*(z) + Bt(z)) / (z A(z) omega_*(z) + B(z)),
 
-and the one-point slice ``{omega(z)}`` is exactly a closed disk whose
-center and radius are returned by :func:`variability_disk`.
+computed by :func:`lift`, and the one-point slice ``{omega(z)}`` is exactly
+a closed disk whose center and radius are returned by
+:func:`variability_disk`.
+
+The quadruple is stored as one ``(4, n+1)`` complex array with rows ``A``,
+``B``, ``At``, ``Bt`` (ascending coefficients), which :func:`eval_poly`
+evaluates in one Horner pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateDenominator
+from .errors import ContractViolation
 from .schur import mobius
 
 __all__ = [
-    "Polynomial",
     "SchurPolynomialSet",
     "VariabilityDisk",
     "build_polynomials",
     "eval_poly",
+    "lift",
     "omega_nested",
-    "omega_rational",
-    "schur_lift",
     "variability_disk",
     "identity_residuals",
 ]
 
-_DENOM_FLOOR = 1e-300
 
+def eval_poly(coeffs: np.ndarray | Sequence[complex], z):
+    """Horner evaluation of one or more stacked polynomials.
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial, coefficients in ascending degree order."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return eval_poly(self, z)
-
-
-def eval_poly(p: Polynomial | Sequence[complex], z):
-    """Horner evaluation; ``z`` may be a scalar or a numpy array."""
-    coeffs = p.coeffs if isinstance(p, Polynomial) else tuple(p)
-    if not coeffs:
+    ``coeffs`` has shape ``(..., n+1)``, ascending degree along the last
+    axis; ``z`` may be a scalar or an array of any shape.  The result has
+    shape ``coeffs.shape[:-1] + z.shape`` and is a Python complex when that
+    shape is empty.  Every row goes through the same operations as if it
+    were evaluated alone.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.ndim == 0 or c.shape[-1] == 0:
         raise ContractViolation("cannot evaluate an empty polynomial")
-    acc = np.zeros_like(np.asarray(z, dtype=np.complex128)) + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    if np.ndim(acc) == 0:
+    zarr = np.asarray(z, dtype=np.complex128)
+    rows = c.shape[:-1]
+    # cols[k] holds coefficient k of every row, shaped to broadcast against z
+    cols = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * zarr.ndim)
+    acc = np.zeros(rows + zarr.shape, dtype=np.complex128) + cols[-1]
+    for col in cols[-2::-1]:
+        acc = acc * zarr + col
+    if acc.ndim == 0:
         return complex(acc)
     return acc
 
@@ -94,15 +89,15 @@ def eval_poly(p: Polynomial | Sequence[complex], z):
 class SchurPolynomialSet:
     """The four polynomials for one parameter sequence, zero-padded to degree n.
 
-    ``b.coeffs[0] == 1`` and ``b_tilde.coeffs[0] == gamma[0]`` exactly, and
-    ``a_tilde`` is monic of exact degree n.
+    ``coeffs`` is a read-only ``(4, n+1)`` complex array whose rows are the
+    ascending coefficients of ``A``, ``B``, ``At`` and ``Bt``.
+    ``coeffs[1, 0] == 1`` and ``coeffs[3, 0] == gamma[0]`` exactly, and
+    ``At`` is monic of exact degree n.  The coefficients are a function of
+    ``gamma``, so sets compare and hash on ``gamma`` alone.
     """
 
     gamma: tuple[complex, ...]
-    a: Polynomial
-    b: Polynomial
-    a_tilde: Polynomial
-    b_tilde: Polynomial
+    coeffs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -145,10 +140,25 @@ def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
         za, zat = shifted(a), shifted(at)
         a, at, b, bt = za + gbar * b, zat + gbar * bt, g * za + b, g * zat + bt
 
-    as_poly = lambda arr: Polynomial(tuple(complex(x) for x in arr))
-    return SchurPolynomialSet(
-        gamma=gams, a=as_poly(a), b=as_poly(b), a_tilde=as_poly(at), b_tilde=as_poly(bt)
-    )
+    coeffs = np.stack((a, b, at, bt))
+    coeffs.flags.writeable = False
+    return SchurPolynomialSet(gamma=gams, coeffs=coeffs)
+
+
+def lift(set_: SchurPolynomialSet, zw, z):
+    """The Schur lift ``(zw At(z) + Bt(z)) / (zw A(z) + B(z))``.
+
+    With ``zw = z * omega_*(z)`` for a self-map ``omega_*`` of the closed
+    disk this is the interpolant whose free parameter is ``omega_*``: a
+    constant ``eps`` gives the extremal family, a Blaschke product one of
+    the oracle's draws.  ``zw`` broadcasts against ``z``.  The caller forms
+    ``zw`` because numpy's complex products are not bitwise commutative,
+    so the operand order stays the caller's.  For ``|z| < 1`` and
+    ``|omega_*| <= 1`` coercivity, ``|B| - |z| |A| > 0``, keeps the
+    denominator away from 0.
+    """
+    av, bv, atv, btv = eval_poly(set_.coeffs, z)
+    return (zw * atv + btv) / (zw * av + bv)
 
 
 def omega_nested(gamma: Sequence[complex], epsilon, z):
@@ -167,39 +177,6 @@ def omega_nested(gamma: Sequence[complex], epsilon, z):
         if k > 0:
             w = z * w
     return w
-
-
-def omega_rational(set_: SchurPolynomialSet, epsilon, z):
-    """Interpolant in rational form: ``(eps z At + Bt) / (eps z A + B)``."""
-    av = eval_poly(set_.a, z)
-    bv = eval_poly(set_.b, z)
-    atv = eval_poly(set_.a_tilde, z)
-    btv = eval_poly(set_.b_tilde, z)
-    ez = epsilon * np.asarray(z, dtype=np.complex128) if np.ndim(z) else epsilon * z
-    num = ez * atv + btv
-    den = ez * av + bv
-    if np.min(np.abs(den)) < _DENOM_FLOOR:
-        raise DegenerateDenominator("rational interpolant denominator vanished")
-    return num / den
-
-
-def schur_lift(set_: SchurPolynomialSet, omega_star: Callable, z):
-    """Lift a disk self-map ``omega_*`` through the polynomial set.
-
-    Returns ``(z At(z) omega_*(z) + Bt(z)) / (z A(z) omega_*(z) + B(z))``,
-    the interpolant whose free parameter is ``omega_*``.
-    """
-    ws = omega_star(z)
-    av = eval_poly(set_.a, z)
-    bv = eval_poly(set_.b, z)
-    atv = eval_poly(set_.a_tilde, z)
-    btv = eval_poly(set_.b_tilde, z)
-    zw = z * ws
-    num = zw * atv + btv
-    den = zw * av + bv
-    if np.min(np.abs(den)) < _DENOM_FLOOR:
-        raise DegenerateDenominator("lift denominator vanished")
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -222,10 +199,7 @@ def variability_disk(set_: SchurPolynomialSet, z) -> VariabilityDisk:
     zc = complex(z)
     if abs(zc) >= 1.0:
         raise ContractViolation("variability_disk requires |z| < 1")
-    av = eval_poly(set_.a, zc)
-    bv = eval_poly(set_.b, zc)
-    atv = eval_poly(set_.a_tilde, zc)
-    btv = eval_poly(set_.b_tilde, zc)
+    av, bv, atv, btv = eval_poly(set_.coeffs, zc).tolist()
     zsq = abs(zc) ** 2
     den = abs(bv) ** 2 - zsq * abs(av) ** 2
     center = (bv.conjugate() * btv - zsq * av.conjugate() * atv) / den
@@ -254,16 +228,12 @@ def identity_residuals(
     set_ = build_polynomials(gamma)
     n = set_.order
     z = _polar_grid(radii, n_angles)
-    av = eval_poly(set_.a, z)
-    bv = eval_poly(set_.b, z)
-    atv = eval_poly(set_.a_tilde, z)
-    btv = eval_poly(set_.b_tilde, z)
-
-    zinv = 1.0 / np.conjugate(z)
+    av, bv, atv, btv = eval_poly(set_.coeffs, z)
+    a_inv, b_inv = eval_poly(set_.coeffs[:2], 1.0 / np.conjugate(z))
     zn = z**n
     mirror = max(
-        float(np.max(np.abs(atv - zn * np.conjugate(eval_poly(set_.b, zinv))))),
-        float(np.max(np.abs(btv - zn * np.conjugate(eval_poly(set_.a, zinv))))),
+        float(np.max(np.abs(atv - zn * np.conjugate(b_inv)))),
+        float(np.max(np.abs(btv - zn * np.conjugate(a_inv)))),
     )
     prod = set_.contraction_product
     determinant = float(np.max(np.abs(atv * bv - av * btv - zn * prod)))

@@ -34,12 +34,7 @@ import numpy as np
 
 from .domains import DomainMap, half_plane
 from .errors import BranchCutHit, ContractViolation, GeometryDegenerate
-from .polynomials import (
-    SchurPolynomialSet,
-    build_polynomials,
-    eval_poly,
-    omega_nested,
-)
+from .polynomials import SchurPolynomialSet, build_polynomials, lift, omega_nested
 from .quadrature import integrate_segment
 from .schur import (
     Boundary,
@@ -64,7 +59,6 @@ __all__ = [
     "region",
     "log_derivative_curve",
     "log_derivative_setup",
-    "sample_member",
     "oracle_samples",
     "contains",
     "containment_depths",
@@ -75,7 +69,6 @@ __all__ = [
     "enclosed_area",
 ]
 
-_DENOM_FLOOR = 1e-300
 _MIN_BOUNDARY_SAMPLES = 4
 #: Fewest equispaced epsilons the spectral boundary integrates.
 _MIN_SPECTRAL_SAMPLES = 16
@@ -113,12 +106,7 @@ class RegionRequest:
             raise ContractViolation("weight power j must be an integer")
         if self.j < -1:
             raise ContractViolation("weight power j must be >= -1")
-        z0 = complex(self.z0)
-        if not (math.isfinite(z0.real) and math.isfinite(z0.imag)):
-            raise ContractViolation("z0 must be finite")
-        if not (0.0 < abs(z0) < 1.0):
-            raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
-        object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "z0", _check_endpoint(self.z0))
         if self.samples < _MIN_BOUNDARY_SAMPLES:
             raise ContractViolation(
                 f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
@@ -168,25 +156,11 @@ class OracleSample:
 # integrand and quadrature
 
 
-def _omega_grid(set_: SchurPolynomialSet, epsilon, zeta):
-    """Rational-form interpolant values, broadcasting epsilon against zeta."""
-    av = eval_poly(set_.a, zeta)
-    bv = eval_poly(set_.b, zeta)
-    atv = eval_poly(set_.a_tilde, zeta)
-    btv = eval_poly(set_.b_tilde, zeta)
-    ez = epsilon * zeta
-    num = ez * atv + btv
-    den = ez * av + bv
-    return num / den
-
-
 def _omega_prime_origin(set_: SchurPolynomialSet, epsilon):
     """Derivative of the interpolant at 0 (depends on eps only for n = 0)."""
     g0 = set_.gamma[0]
-    a0 = set_.a.coeffs[0]
-    at0 = set_.a_tilde.coeffs[0]
-    b1 = set_.b.coeffs[1] if set_.order >= 1 else 0.0
-    bt1 = set_.b_tilde.coeffs[1] if set_.order >= 1 else 0.0
+    a0, _, at0, _ = set_.coeffs[:, 0].tolist()
+    _, b1, _, bt1 = set_.coeffs[:, 1].tolist() if set_.order >= 1 else (0.0,) * 4
     return epsilon * (at0 - g0 * a0) + (bt1 - g0 * b1)
 
 
@@ -204,7 +178,7 @@ def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta
     eps = np.asarray(epsilon, dtype=np.complex128)
     scalar = zarr.ndim == 0 and eps.ndim == 0
     g0 = set_.gamma[0]
-    base = domain.map(_omega_grid(set_, eps, zarr)) - domain.map(g0)
+    base = domain.map(lift(set_, eps * zarr, zarr)) - domain.map(g0)
     if j >= 0:
         out = base * zarr**j
     else:
@@ -220,6 +194,7 @@ def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta
 
 
 def _check_endpoint(z0: complex) -> complex:
+    """``z0`` as a complex with ``0 < |z0| < 1``; NaN and infinite parts fail too."""
     z0 = complex(z0)
     if not (0.0 < abs(z0) < 1.0):
         raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
@@ -529,13 +504,7 @@ def oracle_samples(
         )
         factors = np.where(mask[:, :, None], factors, 1.0)
         w_star = fronts[:, None] * factors.prod(axis=1)
-        zw = zeta[None, :] * w_star
-        av = eval_poly(set_.a, zeta)
-        bv = eval_poly(set_.b, zeta)
-        atv = eval_poly(set_.a_tilde, zeta)
-        btv = eval_poly(set_.b_tilde, zeta)
-        lifted = (zw * atv + btv) / (zw * av + bv)
-        base = domain.map(lifted) - center
+        base = domain.map(lift(set_, zeta[None, :] * w_star, zeta)) - center
         if j == -1:
             return base / zeta[None, :]
         return base * zeta[None, :] ** j
@@ -553,18 +522,6 @@ def oracle_samples(
             degrees, zeros_mat.tolist(), fronts.tolist(), values.tolist()
         )
     ]
-
-
-def sample_member(
-    gamma: Sequence[complex],
-    domain: DomainMap,
-    j: int,
-    z0: complex,
-    seed: int,
-    quad_tol: float = 1e-10,
-) -> OracleSample:
-    """Draw one random member of the region (see :func:`oracle_samples`)."""
-    return oracle_samples(gamma, domain, j, z0, seed, 1, quad_tol)[0]
 
 
 # --------------------------------------------------------------------------

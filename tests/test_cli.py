@@ -102,7 +102,7 @@ def test_missing_coefficients_key(capsys, write_json):
 
 def test_bad_z0_values(capsys, write_json):
     path = write_json(INTERIOR)
-    for z0 in ("abc", "0", "1.2", "0.5+0.9j"):
+    for z0 in ("abc", "0", "1.2", "0.5+0.9j", "nan", "inf", "0.1+nanj"):
         code, _ = run(capsys, ["boundary", "--input", path, "--z0", z0])
         assert code == 2, z0
 

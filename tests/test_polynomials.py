@@ -14,9 +14,8 @@ from schurvar import (
     data_from_parameters,
     eval_poly,
     identity_residuals,
+    lift,
     omega_nested,
-    omega_rational,
-    schur_lift,
     variability_disk,
 )
 
@@ -47,27 +46,23 @@ def random_parameters(rng, max_order=8, radius=0.9):
 
 def test_build_order_zero():
     s = build_polynomials((0.5,))
-    assert s.a.coeffs == (0.5,)
-    assert s.b.coeffs == (1.0,)
-    assert s.a_tilde.coeffs == (1.0,)
-    assert s.b_tilde.coeffs == (0.5,)
+    # rows: A, B, At, Bt
+    assert s.coeffs.tolist() == [[0.5], [1.0], [1.0], [0.5]]
 
 
 def test_build_order_one():
     s = build_polynomials((0.5, 0.5))
-    assert s.a.coeffs == (0.5, 0.5)
-    assert s.b.coeffs == (1.0, 0.25)
-    assert s.a_tilde.coeffs == (0.25, 1.0)
-    assert s.b_tilde.coeffs == (0.5, 0.5)
+    assert s.coeffs.tolist() == [[0.5, 0.5], [1.0, 0.25], [0.25, 1.0], [0.5, 0.5]]
 
 
 def test_build_all_zero_parameters():
     n = 3
     s = build_polynomials((0.0,) * (n + 1))
-    assert all(c == 0.0 for c in s.a.coeffs)
-    assert s.b.coeffs == (1.0,) + (0.0,) * n
-    assert s.a_tilde.coeffs == (0.0,) * n + (1.0,)
-    assert all(c == 0.0 for c in s.b_tilde.coeffs)
+    a, b, at, bt = s.coeffs.tolist()
+    assert all(c == 0.0 for c in a)
+    assert b == [1.0] + [0.0] * n
+    assert at == [0.0] * n + [1.0]
+    assert all(c == 0.0 for c in bt)
 
 
 def test_build_seed_values_hold_for_random_parameters():
@@ -75,10 +70,20 @@ def test_build_seed_values_hold_for_random_parameters():
     for _ in range(20):
         gamma = random_parameters(rng)
         s = build_polynomials(gamma)
-        assert s.b.coeffs[0] == 1.0
-        assert s.b_tilde.coeffs[0] == gamma[0]
+        assert s.coeffs.shape == (4, len(gamma))
+        assert s.coeffs[1, 0] == 1.0
+        assert s.coeffs[3, 0] == gamma[0]
         # top polynomial is monic of exact degree n
-        assert abs(s.a_tilde.coeffs[-1] - 1.0) < 1e-14
+        assert abs(s.coeffs[2, -1] - 1.0) < 1e-14
+
+
+def test_coefficients_are_read_only_and_sets_compare_on_gamma():
+    s = build_polynomials((0.5, 0.25j))
+    with pytest.raises(ValueError):
+        s.coeffs[0, 0] = 0.0
+    twin = build_polynomials((0.5, 0.25j))
+    assert s == twin and hash(s) == hash(twin)
+    assert s != build_polynomials((0.5, 0.25))
 
 
 def test_build_rejects_bad_parameters():
@@ -115,6 +120,40 @@ def test_eval_rejects_empty():
         eval_poly((), 0.3)
 
 
+def horner(coeffs, z):
+    """``eval_poly`` as it was for one polynomial: a tuple of Python complex
+    coefficients, one Horner pass."""
+    acc = np.zeros_like(np.asarray(z, dtype=np.complex128)) + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    if np.ndim(acc) == 0:
+        return complex(acc)
+    return acc
+
+
+def rows(s):
+    return [tuple(complex(c) for c in row) for row in s.coeffs]
+
+
+def disk_draw(rng, shape, radius):
+    return radius * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+
+
+def test_stacked_eval_is_bit_identical_to_per_row_horner():
+    # a scalar z is a 0-d array, as the integrand passes it: numpy rounds
+    # products of Python or numpy scalars without the fused multiply-add
+    # its array loops may use, so those can differ in the last bit
+    rng = np.random.default_rng(37)
+    for n in range(21):
+        s = build_polynomials(disk_draw(rng, n + 1, 0.9))
+        for shape in ((), (15,), (7, 15)):
+            z = np.asarray(disk_draw(rng, shape, 0.95))
+            got = eval_poly(s.coeffs, z)
+            assert got.shape == (4,) + shape
+            for k, row in enumerate(rows(s)):
+                assert np.array_equal(got[k], horner(row, z))
+
+
 # --------------------------------------------------------------------------
 # the four polynomial laws
 
@@ -140,11 +179,8 @@ def test_coercivity_floor_on_dense_radial_grid():
     grid = np.concatenate([r * angles for r in np.linspace(0.1, 1.0, 10)])
     for _ in range(20):
         s = build_polynomials(random_parameters(rng))
-        slack = (
-            np.abs(eval_poly(s.b, grid)) ** 2
-            - np.abs(eval_poly(s.a, grid)) ** 2
-            - s.contraction_product
-        )
+        av, bv, _, _ = eval_poly(s.coeffs, grid)
+        slack = np.abs(bv) ** 2 - np.abs(av) ** 2 - s.contraction_product
         assert float(np.min(slack)) >= -1e-10
 
 
@@ -154,7 +190,8 @@ def test_strict_domination_margin_inside_closed_disk():
     grid = np.concatenate([r * angles for r in np.linspace(0.1, 1.0, 10)])
     for _ in range(20):
         s = build_polynomials(random_parameters(rng))
-        margin = np.abs(eval_poly(s.b, grid)) - np.abs(eval_poly(s.b_tilde, grid))
+        _, bv, _, btv = eval_poly(s.coeffs, grid)
+        margin = np.abs(bv) - np.abs(btv)
         assert float(np.min(margin)) > 0.0
 
 
@@ -180,18 +217,18 @@ def test_nested_epsilon_zero_truncates_innermost_layer():
 
 def test_rational_matches_hand_value():
     s = build_polynomials((0.5, 0.5))
-    got = omega_rational(s, 0.0, 0.2)
+    got = lift(s, 0.0 * 0.2, 0.2)
     assert abs(got - 0.6 / 1.05) < 1e-15
 
 
 def test_rational_at_origin_returns_leading_parameter():
     s = build_polynomials((0.3 - 0.2j, 0.5, -0.1))
-    assert abs(omega_rational(s, 0.9, 0.0) - (0.3 - 0.2j)) < 1e-15
+    assert abs(lift(s, 0.9 * 0.0, 0.0) - (0.3 - 0.2j)) < 1e-15
 
 
 def test_rational_zero_parameters_unimodular_case():
     s = build_polynomials((0.0, 0.0))
-    assert abs(omega_rational(s, 1.0, 1j) - (-1.0)) < 1e-15
+    assert abs(lift(s, 1.0 * 1j, 1j) - (-1.0)) < 1e-15
 
 
 @given(
@@ -202,7 +239,7 @@ def test_rational_zero_parameters_unimodular_case():
 @settings(max_examples=250)
 def test_nested_and_rational_forms_agree(gamma, eps, z):
     s = build_polynomials(gamma)
-    assert abs(omega_nested(gamma, eps, z) - omega_rational(s, eps, z)) < 1e-12
+    assert abs(omega_nested(gamma, eps, z) - lift(s, eps * z, z)) < 1e-12
 
 
 @given(
@@ -226,19 +263,19 @@ def test_lift_of_constant_equals_rational_form():
         s = build_polynomials(gamma)
         eps = complex(np.exp(2j * np.pi * rng.random()))
         z = complex(0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
-        assert abs(schur_lift(s, lambda _: eps, z) - omega_rational(s, eps, z)) < 1e-13
+        assert abs(lift(s, z * eps, z) - lift(s, eps * z, z)) < 1e-13
 
 
 def test_lift_of_zero_collapses_to_polynomial_quotient():
     s = build_polynomials((0.4, -0.2j, 0.1))
     z = 0.35 - 0.2j
-    want = eval_poly(s.b_tilde, z) / eval_poly(s.b, z)
-    assert abs(schur_lift(s, lambda _: 0.0, z) - want) < 1e-14
+    _, bv, _, btv = eval_poly(s.coeffs, z)
+    assert abs(lift(s, z * 0.0, z) - btv / bv) < 1e-14
 
 
 def test_lift_of_identity_map_with_zero_parameters():
     s = build_polynomials((0.0, 0.0))
-    assert abs(schur_lift(s, lambda w: w, 0.3) - 0.027) < 1e-15
+    assert abs(lift(s, 0.3 * 0.3, 0.3) - 0.027) < 1e-15
 
 
 def test_lift_reproduces_prescribed_coefficients():
@@ -248,9 +285,36 @@ def test_lift_reproduces_prescribed_coefficients():
     # Taylor coefficients via equispaced samples on a small circle
     m = 64
     circle = 0.2 * np.exp(2j * np.pi * np.arange(m) / m)
-    values = schur_lift(s, lambda w: w * w - 0.5, circle)
+    values = lift(s, circle * (circle * circle - 0.5), circle)
     coeffs = np.fft.fft(values) / m / (0.2 ** np.arange(m))
     assert np.max(np.abs(coeffs[: len(want)] - want)) < 1e-10
+
+
+def four_pass_lift(s, zw, z):
+    """The lift as written before the stacked array: one Horner pass per row."""
+    av, bv, atv, btv = (horner(row, z) for row in rows(s))
+    return (zw * atv + btv) / (zw * av + bv)
+
+
+def test_lift_is_bit_identical_to_four_pass_formula():
+    rng = np.random.default_rng(41)
+    nodes = 0.7 * (0.5 + 0.5 * np.polynomial.legendre.leggauss(15)[0]) * np.exp(0.4j)
+    eps = np.exp(2j * np.pi * np.arange(64) / 64)[:, None]
+    for n in range(9):
+        s = build_polynomials(disk_draw(rng, n + 1, 0.9))
+        # boundary: a column of epsilons times the nodes
+        zw = eps * nodes
+        assert np.array_equal(lift(s, zw, nodes), four_pass_lift(s, zw, nodes))
+        # oracle: the nodes times a batch of degree-one Blaschke products
+        zeros = disk_draw(rng, (30, 1), 0.95)
+        fronts = np.exp(2j * np.pi * rng.random((30, 1)))
+        w = fronts * (nodes - zeros) / (1.0 - np.conj(zeros) * nodes)
+        zw = nodes[None, :] * w
+        assert np.array_equal(lift(s, zw, nodes), four_pass_lift(s, zw, nodes))
+        # scalar, as the integrand passes it: 0-d arrays
+        z, e = np.asarray(nodes[4]), np.asarray(eps[5, 0])
+        assert lift(s, e * z, z) == four_pass_lift(s, e * z, z)
+        assert lift(s, z * e, z) == four_pass_lift(s, z * e, z)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +354,7 @@ def test_extremal_values_lie_exactly_on_the_disk_boundary():
         z = complex(0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
         d = variability_disk(s, z)
         for eps in np.exp(2j * np.pi * rng.random(6)):
-            assert abs(abs(omega_rational(s, eps, z) - d.center) - d.radius) < 1e-10
+            assert abs(abs(lift(s, eps * z, z) - d.center) - d.radius) < 1e-10
 
 
 def test_subunimodular_values_lie_strictly_inside():
@@ -303,6 +367,6 @@ def test_subunimodular_values_lie_strictly_inside():
         )
         d = variability_disk(s, z)
         eps = complex(0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
-        dist = abs(omega_rational(s, eps, z) - d.center)
+        dist = abs(lift(s, eps * z, z) - d.center)
         if d.radius > 1e-12:
             assert dist < d.radius

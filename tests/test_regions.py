@@ -35,7 +35,6 @@ from schurvar import (
     oracle_samples,
     q_value,
     region,
-    sample_member,
     schur_parameters,
     strip,
 )
@@ -290,6 +289,10 @@ def test_request_rejects_bad_fields():
         dict(z0=0.0),
         dict(z0=1.0),
         dict(z0=1.2j),
+        dict(z0=complex(math.nan, 0.0)),
+        dict(z0=complex(0.1, math.nan)),
+        dict(z0=complex(math.inf, 0.0)),
+        dict(z0=complex(-math.inf, math.nan)),
         dict(samples=3),
     ):
         with pytest.raises(ContractViolation):
@@ -459,19 +462,13 @@ def test_degenerate_draw_reduces_to_constant_epsilon():
     s = build_polynomials(gamma)
     for seed in range(60):
         if int(np.random.default_rng(seed).integers(0, 7)) == 0:
-            got = sample_member(gamma, half_plane(), -1, Z0, seed=seed)
+            got = oracle_samples(gamma, half_plane(), -1, Z0, seed=seed, count=1)[0]
             assert got.blaschke_degree == 0
             want = q_value(s, -1, Z0, got.unimodular_factor, half_plane())
             assert abs(got.value - want) < 1e-9
             break
     else:
         pytest.fail("no degree-zero draw among seeds 0..59")
-
-
-def test_sample_member_matches_first_batch_entry():
-    batch = oracle_samples((0.2, -0.3j), half_plane(), 0, Z0, seed=21, count=1)
-    single = sample_member((0.2, -0.3j), half_plane(), 0, Z0, seed=21)
-    assert single.value == batch[0].value
 
 
 def test_oracle_count_edge_cases():
