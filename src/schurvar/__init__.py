@@ -25,6 +25,7 @@ from .polynomials import (
     eval_poly,
     identity_residuals,
     lift,
+    mobius,
     omega_nested,
     variability_disk,
 )
@@ -60,9 +61,7 @@ from .schur import (
     SchurClassification,
     ToleranceConfig,
     data_from_parameters,
-    mobius,
     schur_parameters,
-    schur_step,
 )
 
 __version__ = "0.1.0"
@@ -84,11 +83,10 @@ __all__ = [
     "Boundary",
     "Exterior",
     "ExteriorReason",
-    "mobius",
-    "schur_step",
     "schur_parameters",
     "data_from_parameters",
     # polynomials
+    "mobius",
     "SchurPolynomialSet",
     "VariabilityDisk",
     "build_polynomials",

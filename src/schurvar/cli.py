@@ -21,7 +21,8 @@ exhaust memory; larger values exit 2.  All output is
 deterministic for fixed input bytes, flags, and seed.
 
 Complex values serialize as two-element ``[re, im]`` arrays in JSON and
-two CSV columns; ``--z0`` accepts ``a+bi`` notation.  Input JSON schema:
+two CSV columns; ``--z0`` accepts ``a+bi`` notation, as ``--z0=-0.3+0.4i``
+when the real part is negative.  Input JSON schema:
 ``{"coefficients": [[re, im], ...], "domain": "half-plane" | "strip" |
 "disk:<re>,<im>,<r>"}``.  The ``SCHUR_QUAD_TOL`` environment variable
 overrides the quadrature tolerance; an explicit ``--quad-tol`` flag
@@ -412,7 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def region_flags(p):
         p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--z0", required=True, help="integration endpoint, a+bi form")
+        p.add_argument(
+            "--z0",
+            required=True,
+            help="integration endpoint, a+bi form; a negative real part as --z0=-0.3+0.4i",
+        )
         p.add_argument("--j", type=int, default=0, help="weight power (>= -1)")
         p.add_argument("--domain", help="override the input file's domain label")
         p.add_argument(

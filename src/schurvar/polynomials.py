@@ -46,10 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
-from .schur import mobius
+from .errors import ContractViolation, DegenerateDenominator
+from .schur import check_parameters
 
 __all__ = [
+    "mobius",
     "SchurPolynomialSet",
     "VariabilityDisk",
     "build_polynomials",
@@ -59,6 +60,9 @@ __all__ = [
     "variability_disk",
     "identity_residuals",
 ]
+
+#: Denominators smaller than this are treated as exact zeros.
+_DENOM_FLOOR = 1e-300
 
 
 def eval_poly(coeffs: np.ndarray | Sequence[complex], z):
@@ -110,15 +114,8 @@ class SchurPolynomialSet:
 
 
 def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
-    """Run the recurrence for interior parameters (all ``|gamma_k| < 1``)."""
-    gams = tuple(complex(g) for g in gamma)
-    if not gams:
-        raise ContractViolation("parameter sequence must be non-empty")
-    for k, g in enumerate(gams):
-        if abs(g) >= 1.0:
-            raise ContractViolation(
-                f"build_polynomials requires |gamma_{k}| < 1, got {abs(g)}"
-            )
+    """Run the recurrence for interior parameters (finite, all ``|gamma_k| < 1``)."""
+    gams = check_parameters(gamma)
     n = len(gams) - 1
     a = np.zeros(n + 1, dtype=np.complex128)
     b = np.zeros(n + 1, dtype=np.complex128)
@@ -159,6 +156,22 @@ def lift(set_: SchurPolynomialSet, zw, z):
     """
     av, bv, atv, btv = eval_poly(set_.coeffs, z)
     return (zw * atv + btv) / (zw * av + bv)
+
+
+def mobius(a, z):
+    """Evaluate ``sigma_a(z) = (z + a) / (1 + conj(a) z)``.
+
+    ``a`` must be finite with ``|a| < 1``; ``z`` may be a complex scalar or a
+    numpy array.  Raises DegenerateDenominator if the denominator falls
+    below 1e-300 in modulus (unreachable for ``|z| <= 1``).
+    """
+    a = complex(a)
+    if not abs(a) < 1.0:  # also rejects NaN
+        raise ContractViolation(f"mobius parameter must have |a| < 1, got |a| = {abs(a)}")
+    den = 1.0 + a.conjugate() * z
+    if np.min(np.abs(den)) < _DENOM_FLOOR:
+        raise DegenerateDenominator("mobius denominator 1 + conj(a) z vanished")
+    return (z + a) / den
 
 
 def omega_nested(gamma: Sequence[complex], epsilon, z):

@@ -1,30 +1,38 @@
-"""Coefficient peeling for Caratheodory interpolation data.
+"""Schur parameters of Caratheodory interpolation data, and back.
 
-An analytic self-map ``omega`` of the closed unit disk with
-``omega(0) = c_0`` factors as ``omega = sigma_{c_0}(z * omega_1)`` where
-``sigma_a(z) = (z + a) / (1 + conj(a) z)`` is the disk automorphism moving
-0 to ``a`` and ``omega_1`` is again a self-map of the disk.  Peeling one
-prescribed Taylor coefficient per step turns a coefficient vector
+An analytic self-map ``omega`` of the closed unit disk factors as
+``omega = sigma_{gamma_0}(z * omega_1)`` with ``gamma_0 = omega(0)``,
+``sigma_a(z) = (z + a) / (1 + conj(a) z)`` and ``omega_1`` again a self-map
+of the disk.  Peeling one prescribed Taylor coefficient per step turns
 ``c = (c_0, ..., c_n)`` into its parameter sequence
 ``gamma = (gamma_0, ..., gamma_k)`` and classifies ``c`` against the body
 of coefficient vectors attainable by such maps:
 
 * every ``|gamma_p| < 1``       -- interior data, a full disk of interpolants;
-* ``|gamma_i| = 1`` and the rest of the current vector zero
+* ``|gamma_i| = 1`` and the rest of the current series zero
                                  -- a unique interpolant (a finite Blaschke
                                     product determined by the prefix);
 * anything else                  -- no interpolant exists.
 
-In coefficient space the peeling step is the recursion
+Both directions run the Schur algorithm in generator form.  Level ``j``
+holds ``omega_j = p_j / q_j`` as two power series truncated to length
+``n + 1 - j`` with ``q_j[0] = 1``, from ``p_0 = c``, ``q_0 = 1``.  With
+``gamma_j = p_j[0]`` and ``d_j = 1 - |gamma_j|^2`` one step,
+``omega_{j+1} = (omega_j - gamma_j) / (z (1 - conj(gamma_j) omega_j))``,
+costs O(n - j):
 
-    c^(j+1)_0 = c^(j)_1 / (1 - |gamma_j|^2)
-    c^(j+1)_p = (c^(j)_{p+1}
-                 + conj(gamma_j) * sum_{l=1..p} c^(j+1)_{p-l} c^(j)_l)
-                / (1 - |gamma_j|^2)            for 1 <= p <= n - j - 1
+    p_{j+1} = (p_j[1:]  - gamma_j       q_j[1:])  / d_j
+    q_{j+1} = (q_j[:-1] - conj(gamma_j) p_j[:-1]) / d_j
 
-with ``gamma_j = c^(j)_0``.  Note the convolution mixes entries of the new
-vector with entries of the old one, so it must be evaluated in increasing
-``p``.  All functions here are pure and safe for concurrent use.
+The peel (:func:`schur_parameters`) runs these forward, one
+:func:`schur_step` per parameter.  The inverse
+(:func:`data_from_parameters`) sweeps the anti-diagonals ``k = 0..n`` of
+the same table: with ``P[l] = p_l[k - l]`` and ``Q[l] = q_l[k - l]``,
+``Q`` follows from the previous diagonal by the q-relation, and ``P`` runs
+from ``P[k] = gamma_k`` down to ``P[0] = c_k`` by the p-relation solved
+for ``p``, ``p_l[i + 1] = d_l p_{l+1}[i] + gamma_l q_l[i + 1]``.  Both are
+O(n^2) in plain Python complex arithmetic; the sweep keeps O(n) memory.
+All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -34,9 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .errors import ContractViolation, DegenerateDenominator
+from .errors import ContractViolation
 
 __all__ = [
     "CaratheodoryData",
@@ -46,14 +52,11 @@ __all__ = [
     "Exterior",
     "ExteriorReason",
     "SchurClassification",
-    "mobius",
+    "check_parameters",
     "schur_step",
     "schur_parameters",
     "data_from_parameters",
 ]
-
-#: Denominators smaller than this are treated as exact zeros.
-_DENOM_FLOOR = 1e-300
 
 
 def _as_finite_complex(value, what: str) -> complex:
@@ -152,42 +155,43 @@ class Exterior:
 SchurClassification = Interior | Boundary | Exterior
 
 
-def mobius(a, z):
-    """Evaluate ``sigma_a(z) = (z + a) / (1 + conj(a) z)``.
+def check_parameters(gamma: Sequence[complex]) -> tuple[complex, ...]:
+    """``gamma`` as a tuple of complex numbers, checked to be interior
+    parameters: at least one, every one finite with ``|gamma_k| < 1``."""
+    gams = tuple(_as_finite_complex(g, "parameter") for g in gamma)
+    if not gams or max(map(abs, gams)) >= 1.0:
+        raise ContractViolation("parameters must be non-empty with every |gamma_k| < 1")
+    return gams
 
-    ``a`` must satisfy ``|a| < 1``; ``z`` may be a complex scalar or a
-    numpy array.  Raises DegenerateDenominator if the denominator falls
-    below 1e-300 in modulus (unreachable for ``|z| <= 1``).
+
+def schur_step(
+    p: Sequence[complex], q: Sequence[complex], gamma: complex
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """One Schur step on the generator pair: ``(p_j, q_j)``, two series of
+    length m >= 2, to ``(p_{j+1}, q_{j+1})`` of length m - 1.
+
+    ``q[0]`` must be 1 and ``gamma`` must be ``p[0]`` with ``|gamma| < 1``.
+    The new ``q`` starts with exactly 1 again.
     """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise ContractViolation(f"mobius parameter must have |a| < 1, got |a| = {abs(a)}")
-    den = 1.0 + a.conjugate() * z
-    if np.min(np.abs(den)) < _DENOM_FLOOR:
-        raise DegenerateDenominator("mobius denominator 1 + conj(a) z vanished")
-    return (z + a) / den
-
-
-def schur_step(c_j: Sequence[complex], gamma_j: complex) -> tuple[complex, ...]:
-    """One peeling step: map ``c^(j)`` (length m >= 2) to ``c^(j+1)`` (length m-1).
-
-    ``gamma_j`` must be the first entry of ``c_j`` and satisfy ``|gamma_j| < 1``.
-    """
-    c = tuple(complex(x) for x in c_j)
-    if len(c) < 2:
-        raise ContractViolation("schur_step needs at least two coefficients")
-    g = complex(gamma_j)
-    if g != c[0]:
-        raise ContractViolation("gamma_j must equal the first entry of c_j")
-    if abs(g) >= 1.0:
-        raise ContractViolation(f"schur_step requires |gamma_j| < 1, got {abs(g)}")
+    g = complex(gamma)
+    if not (2 <= len(p) == len(q) and g == p[0] and q[0] == 1.0 and abs(g) < 1.0):
+        raise ContractViolation(
+            "schur_step needs p, q of one length >= 2, q[0] == 1, gamma == p[0], |gamma| < 1"
+        )
     d = 1.0 - abs(g) ** 2
     gbar = g.conjugate()
-    out: list[complex] = [c[1] / d]
-    for p in range(1, len(c) - 1):
-        conv = sum(out[p - l] * c[l] for l in range(1, p + 1))
-        out.append((c[p + 1] + gbar * conv) / d)
-    return tuple(out)
+    p_next = tuple([(a - g * b) / d for a, b in zip(p[1:], q[1:])])
+    q_next = (1.0,) + tuple([(b - gbar * a) / d for a, b in zip(p[1:-1], q[1:-1])])
+    return p_next, q_next
+
+
+def _tail(p: Sequence[complex], q: Sequence[complex], g: complex) -> list[complex]:
+    """``(p / q)[1:]``, formed as ``((p - g q) / q)[1:]`` by series division
+    (``q[0] = 1``, ``g = p[0]``, so the quotient's constant term is 0)."""
+    r = [0j]
+    for k in range(1, len(p)):
+        r.append(p[k] - g * q[k] - sum(q[l] * r[k - l] for l in range(1, k)))
+    return r[1:]
 
 
 def schur_parameters(
@@ -199,70 +203,47 @@ def schur_parameters(
     The trichotomy is exhaustive: interior (all moduli < 1 - cls_tol),
     boundary (a modulus within cls_tol of 1 whose remaining coefficients
     are all below cls_tol), or exterior (modulus beyond 1 + cls_tol, or a
-    unimodular parameter followed by a non-zero coefficient).
+    unimodular parameter followed by a non-zero coefficient).  The
+    remaining coefficients at step ``j`` are ``(p_j / q_j)[1:]``.
     """
     data = c if isinstance(c, CaratheodoryData) else CaratheodoryData(tuple(c))
     band = tol.cls_tol
-    work: tuple[complex, ...] = data.coeffs
+    p: tuple[complex, ...] = data.coeffs
+    q: tuple[complex, ...] = (1.0,) + (0.0,) * data.order
     gamma: list[complex] = []
-    j = 0
     while True:
-        g = work[0]
+        g = p[0]
         m = abs(g)
+        j = len(gamma)
         if m > 1.0 + band:
             return Exterior(witness_index=j, reason=ExteriorReason.MODULUS_EXCEEDS_ONE)
         if abs(m - 1.0) <= band:
-            if any(abs(x) > band for x in work[1:]):
+            if any(abs(x) > band for x in _tail(p, q, g)):
                 return Exterior(
                     witness_index=j,
                     reason=ExteriorReason.UNIMODULAR_WITH_NONZERO_TAIL,
                 )
             return Boundary(gamma_prefix=tuple(gamma) + (g,), unimodular_index=j)
         gamma.append(g)
-        if len(work) == 1:
+        if len(p) == 1:
             return Interior(gamma=tuple(gamma))
-        work = schur_step(work, g)
-        j += 1
-
-
-def _series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two power series, truncated to the common length."""
-    return np.convolve(a, b)[: len(a)]
-
-
-def _series_reciprocal(b: np.ndarray) -> np.ndarray:
-    """Reciprocal series of ``b`` with ``b[0] = 1``, truncated."""
-    inv = np.zeros_like(b)
-    inv[0] = 1.0
-    for p in range(1, len(b)):
-        inv[p] = -np.dot(b[1 : p + 1], inv[p - 1 :: -1])
-    return inv
+        p, q = schur_step(p, q, g)
 
 
 def data_from_parameters(gamma: Sequence[complex]) -> CaratheodoryData:
-    """Reconstruct the coefficient vector realized by interior parameters.
-
-    Composes the nested automorphism form
-    ``sigma_{gamma_0}(z sigma_{gamma_1}(... z sigma_{gamma_n}(0) ...))``
-    as a truncated power series to order ``n``; the result is the unique
-    coefficient vector whose peeling returns ``gamma``.
-    """
-    gams = tuple(_as_finite_complex(g, "parameter") for g in gamma)
-    if not gams:
-        raise ContractViolation("parameter sequence must be non-empty")
+    """The unique coefficient vector whose peeling returns the interior
+    parameters ``gamma``, by the anti-diagonal sweep (module docstring)."""
+    gams = check_parameters(gamma)
+    gbar = [g.conjugate() for g in gams]
+    d = [1.0 - abs(g) ** 2 for g in gams]
+    coeffs = []
+    diag_p: list[complex] = []  # P and Q of the previous anti-diagonal
+    diag_q: list[complex] = []
     for k, g in enumerate(gams):
-        if abs(g) >= 1.0:
-            raise ContractViolation(
-                f"data_from_parameters requires |gamma_{k}| < 1, got {abs(g)}"
-            )
-    n1 = len(gams)  # series length n + 1
-    w = np.zeros(n1, dtype=np.complex128)  # innermost factor: the zero series
-    for g in reversed(gams):
-        u = np.zeros(n1, dtype=np.complex128)  # u = z * w, truncated
-        u[1:] = w[:-1]
-        num = u.copy()
-        num[0] += g
-        den = g.conjugate() * u
-        den[0] += 1.0
-        w = _series_product(num, _series_reciprocal(den))
-    return CaratheodoryData(tuple(complex(x) for x in w))
+        # Q[0] = q_0[k] = 0 for k >= 1; Q[k] = q_k[0] = 1 is never read
+        diag_q = [0j] + [(diag_q[l] - gbar[l] * diag_p[l]) / d[l] for l in range(k - 1)]
+        diag_p = [g] * (k + 1)
+        for l in range(k - 1, -1, -1):
+            diag_p[l] = d[l] * diag_p[l + 1] + gams[l] * diag_q[l]
+        coeffs.append(diag_p[0])
+    return CaratheodoryData(tuple(coeffs))

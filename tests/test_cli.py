@@ -107,6 +107,18 @@ def test_bad_z0_values(capsys, write_json):
         assert code == 2, z0
 
 
+def test_z0_with_negative_real_part(capsys, write_json):
+    path = write_json(INTERIOR)
+    # as a separate argument argparse takes "-0.3+0.4i" for an option
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "--input", path, "--z0", "-0.3+0.4i", "--samples", "16"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, ["boundary", "--input", path, "--z0=-0.3+0.4i", "--samples", "16"])
+    assert code == 0
+    assert len([line for line in out.splitlines() if not line.startswith(("#", "theta"))]) == 16
+
+
 def test_bad_domain_label(capsys, write_json):
     path = write_json(INTERIOR)
     code, _ = run(

@@ -89,8 +89,9 @@ def test_coefficients_are_read_only_and_sets_compare_on_gamma():
 def test_build_rejects_bad_parameters():
     with pytest.raises(ContractViolation):
         build_polynomials(())
-    with pytest.raises(ContractViolation):
-        build_polynomials((0.5, 1.0))
+    for bad in (1.0, math.nan, math.inf, -math.inf, complex(0.1, math.nan)):
+        with pytest.raises(ContractViolation):
+            build_polynomials((0.5, bad))
 
 
 # --------------------------------------------------------------------------

@@ -426,6 +426,12 @@ def test_oracle_is_deterministic():
     assert [s.zeros for s in a] == [s.zeros for s in b]
 
 
+def test_oracle_rejects_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation):
+            oracle_samples((0.0, bad), half_plane(), -1, Z0, seed=11, count=8)
+
+
 def three_call_draw(rng):
     degree = int(rng.integers(0, 7))
     radii = 0.95 * np.sqrt(rng.random(degree))

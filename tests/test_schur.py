@@ -19,8 +19,8 @@ from schurvar import (
     data_from_parameters,
     mobius,
     schur_parameters,
-    schur_step,
 )
+from schurvar.schur import schur_step
 
 
 def disk_points(radius: float):
@@ -53,6 +53,8 @@ def test_mobius_rejects_unimodular_parameter():
         mobius(1.0, 0.2)
     with pytest.raises(ContractViolation):
         mobius(1.5 + 0.1j, 0.2)
+    with pytest.raises(ContractViolation):
+        mobius(math.nan, 0.2)
 
 
 def test_mobius_accepts_arrays():
@@ -75,41 +77,61 @@ def test_mobius_maps_closed_disk_into_itself(a, z):
 
 
 # --------------------------------------------------------------------------
-# schur_step
+# schur_step: one step on the generator pair (p, q), omega = p / q
+
+
+def series_quotient(p, q):
+    """``p / q`` as a truncated power series, ``q[0] = 1``."""
+    out = []
+    for k in range(len(p)):
+        out.append(p[k] - sum(q[l] * out[k - l] for l in range(1, k + 1)))
+    return out
 
 
 def test_step_first_order():
-    assert schur_step((0.5, 0.375), 0.5) == (0.5,)
+    assert schur_step((0.5, 0.375), (1.0, 0.0), 0.5) == ((0.5,), (1.0,))
 
 
 def test_step_second_order():
-    out = schur_step((0.5, 0.375, 0.28125), 0.5)
-    assert max(abs(a - b) for a, b in zip(out, (0.5, 0.5))) < 1e-15
+    p, q = schur_step((0.5, 0.375, 0.28125), (1.0, 0.0, 0.0), 0.5)
+    assert max(abs(a - b) for a, b in zip(p, (0.5, 0.375))) < 1e-15
+    assert q[0] == 1.0 and abs(q[1] + 0.25) < 1e-15
+    # the peeled data c^(1) = p / q is (0.5, 0.5)
+    assert max(abs(a - b) for a, b in zip(series_quotient(p, q), (0.5, 0.5))) < 1e-15
 
 
 def test_step_zero_leading_coefficient_is_exact_left_shift():
     tail = (0.25 - 0.125j, 0.7j, -0.3)
-    assert schur_step((0.0,) + tail, 0.0) == tail
+    q = (1.0, 0.3j, -0.2, 0.1 + 0.1j)
+    assert schur_step((0.0,) + tail, q, 0.0) == (tail, q[:-1])
 
 
-@given(tail=st.lists(disk_points(1.0), min_size=1, max_size=6))
-def test_step_shift_property(tail):
-    assert schur_step((0.0, *tail), 0.0) == tuple(complex(t) for t in tail)
+@given(
+    tail=st.lists(disk_points(1.0), min_size=1, max_size=6),
+    q_tail=st.lists(disk_points(1.0), min_size=6, max_size=6),
+)
+def test_step_shift_property(tail, q_tail):
+    q = (1.0, *q_tail[: len(tail)])
+    assert schur_step((0.0, *tail), q, 0.0) == (tuple(tail), q[:-1])
 
 
 def test_step_requires_gamma_to_match_first_entry():
     with pytest.raises(ContractViolation):
-        schur_step((0.5, 0.375), 0.4)
+        schur_step((0.5, 0.375), (1.0, 0.0), 0.4)
+    with pytest.raises(ContractViolation):
+        schur_step((0.5, 0.375), (2.0, 0.0), 0.5)  # q[0] must be 1
 
 
 def test_step_requires_two_entries():
     with pytest.raises(ContractViolation):
-        schur_step((0.5,), 0.5)
+        schur_step((0.5,), (1.0,), 0.5)
+    with pytest.raises(ContractViolation):
+        schur_step((0.5, 0.375), (1.0, 0.0, 0.0), 0.5)
 
 
 def test_step_rejects_non_contractive_gamma():
     with pytest.raises(ContractViolation):
-        schur_step((1.0, 0.375), 1.0)
+        schur_step((1.0, 0.375), (1.0, 0.0), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -207,9 +229,10 @@ def test_inverse_of_three_halves():
 
 def test_inverse_rejects_non_contractive_parameters():
     with pytest.raises(ContractViolation):
-        data_from_parameters((0.5, 1.0))
-    with pytest.raises(ContractViolation):
         data_from_parameters(())
+    for bad in (1.0, math.nan, math.inf, -math.inf, complex(0.1, math.nan)):
+        with pytest.raises(ContractViolation):
+            data_from_parameters((0.5, bad))
 
 
 @given(
@@ -220,6 +243,113 @@ def test_round_trip_recovers_parameters(gamma):
     cls = schur_parameters(data_from_parameters(gamma))
     assert isinstance(cls, Interior)
     assert max(abs(a - b) for a, b in zip(cls.gamma, gamma)) < 1e-8
+
+
+# --------------------------------------------------------------------------
+# the generator recurrence against the coefficient-space forms it replaced
+
+
+def reference_peel(c, band=1e-12):
+    """The coefficient-space peel, one convolution per step:
+    c^(j+1)_p = (c^(j)_{p+1} + conj(g) sum_{l=1..p} c^(j+1)_{p-l} c^(j)_l) / (1 - |g|^2)."""
+    work = [complex(x) for x in c]
+    gamma = []
+    while True:
+        g, j = work[0], len(gamma)
+        if abs(g) > 1.0 + band:
+            return Exterior(j, ExteriorReason.MODULUS_EXCEEDS_ONE)
+        if abs(abs(g) - 1.0) <= band:
+            if any(abs(x) > band for x in work[1:]):
+                return Exterior(j, ExteriorReason.UNIMODULAR_WITH_NONZERO_TAIL)
+            return Boundary(tuple(gamma) + (g,), j)
+        gamma.append(g)
+        if len(work) == 1:
+            return Interior(tuple(gamma))
+        d = 1.0 - abs(g) ** 2
+        out = [work[1] / d]
+        for p in range(1, len(work) - 1):
+            conv = sum(out[p - l] * work[l] for l in range(1, p + 1))
+            out.append((work[p + 1] + g.conjugate() * conv) / d)
+        work = out
+
+
+def reference_nested(prefix, inner):
+    """``sigma_{g_0}(z sigma_{g_1}(... z inner))`` as a series of ``len(inner)`` terms."""
+    w = [complex(x) for x in inner]
+    for g in reversed(prefix):
+        g = complex(g)
+        zw = [0j] + w[:-1]
+        w = series_quotient([g] + zw[1:], [1.0] + [g.conjugate() * x for x in zw[1:]])
+    return w
+
+
+def classification_key(cls):
+    if isinstance(cls, Interior):
+        return "interior", len(cls.gamma), None
+    if isinstance(cls, Boundary):
+        return "boundary", cls.unimodular_index, None
+    return "exterior", cls.witness_index, cls.reason
+
+
+def seeded_disk(rng, size, radius):
+    return [complex(x) for x in radius * np.sqrt(rng.uniform(size=size))
+            * np.exp(2j * np.pi * rng.uniform(size=size))]
+
+
+def test_peel_matches_coefficient_space_reference():
+    rng = np.random.default_rng(6)
+    cases = []
+    for trial in range(1800):
+        n = trial % 9
+        cases.append(seeded_disk(rng, n + 1, 1.5))  # mostly exterior
+        gamma = seeded_disk(rng, n + 1, 0.9)
+        cases.append(reference_nested(gamma, [0j] * (n + 1)))  # interior
+        i = trial % (n + 1)
+        unimodular = cmath.exp(2j * math.pi * rng.uniform())
+        inner = [unimodular] + [0j] * (n - i)
+        cases.append(reference_nested(gamma[:i], inner))  # boundary at i
+        if i < n:
+            inner[1] = 0.3 * unimodular
+            cases.append(reference_nested(gamma[:i], inner))  # non-zero tail at i
+    outcomes = set()
+    for c in cases:
+        got, want = schur_parameters(c), reference_peel(c)
+        assert classification_key(got) == classification_key(want), c
+        outcomes.add((type(got), getattr(got, "reason", None)))
+        if not isinstance(got, Exterior):
+            params = got.gamma if isinstance(got, Interior) else got.gamma_prefix
+            ref = want.gamma if isinstance(want, Interior) else want.gamma_prefix
+            assert max(abs(a - b) for a, b in zip(params, ref)) < 1e-9
+    assert len(outcomes) == 4  # interior, boundary and both exterior reasons
+
+
+def test_inverse_matches_nested_reference():
+    rng = np.random.default_rng(7)
+    for n in range(21):
+        for _ in range(5):
+            gamma = seeded_disk(rng, n + 1, 0.99)
+            got = data_from_parameters(gamma).coeffs
+            want = reference_nested(gamma, [0j] * (n + 1))
+            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14
+
+
+def test_inverse_against_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    for n in (10, 40):
+        for _ in range(3):
+            gamma = seeded_disk(rng, n + 1, 0.99)
+            got = data_from_parameters(gamma).coeffs
+            with mp.workdps(50):  # the nested composition in 50-digit arithmetic
+                w = [mp.mpc(0)] * (n + 1)
+                for g in map(mp.mpc, reversed(gamma)):
+                    num = [g] + w[:-1]
+                    den = [mp.mpc(1)] + [mp.conj(g) * x for x in w[:-1]]
+                    w = []
+                    for k in range(n + 1):
+                        w.append(num[k] - mp.fsum(den[l] * w[k - l] for l in range(1, k + 1)))
+                err = max(abs(w[k] - mp.mpc(got[k])) for k in range(n + 1))
+            assert err < 1e-14
 
 
 # --------------------------------------------------------------------------
