@@ -30,9 +30,9 @@ the data realized by ``gamma`` is the Schur lift
 
     omega(z) = (z At(z) omega_*(z) + Bt(z)) / (z A(z) omega_*(z) + B(z)),
 
-computed by :func:`lift`, and the one-point slice ``{omega(z)}`` is exactly
-a closed disk whose center and radius are returned by
-:func:`variability_disk`.
+whose difference quotient ``(omega(z) - gamma_0) / z`` :func:`lift`
+computes, and the one-point slice ``{omega(z)}`` is exactly a closed disk
+whose center and radius are returned by :func:`variability_disk`.
 
 The quadruple is stored as one ``(4, n+1)`` complex array with rows ``A``,
 ``B``, ``At``, ``Bt`` (ascending coefficients), which :func:`eval_poly`
@@ -42,6 +42,7 @@ evaluates in one Horner pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +113,20 @@ class SchurPolynomialSet:
         """``prod(1 - |gamma_k|^2)``, the determinant/coercivity constant."""
         return float(np.prod([1.0 - abs(g) ** 2 for g in self.gamma]))
 
+    @cached_property
+    def lift_rows(self) -> np.ndarray:
+        """Read-only ``(4, n+1)`` rows ``A``, ``B``, ``At - gamma_0 A`` and
+        ``(Bt - gamma_0 B) / z`` (zero-padded), the coefficients of
+        :func:`lift`.  ``Bt - gamma_0 B`` has no constant term, since
+        ``Bt(0) = gamma_0`` and ``B(0) = 1``."""
+        a, b, at, bt = self.coeffs
+        g0 = self.gamma[0]
+        shifted = np.zeros_like(b)
+        shifted[:-1] = bt[1:] - g0 * b[1:]
+        rows = np.stack((a, b, at - g0 * a, shifted))
+        rows.flags.writeable = False
+        return rows
+
 
 def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
     """Run the recurrence for interior parameters (finite, all ``|gamma_k| < 1``)."""
@@ -142,20 +157,21 @@ def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
     return SchurPolynomialSet(gamma=gams, coeffs=coeffs)
 
 
-def lift(set_: SchurPolynomialSet, zw, z):
-    """The Schur lift ``(zw At(z) + Bt(z)) / (zw A(z) + B(z))``.
+def lift(set_: SchurPolynomialSet, w_star, z):
+    """``h = (omega(z) - gamma_0) / z`` for the Schur lift ``omega``:
 
-    With ``zw = z * omega_*(z)`` for a self-map ``omega_*`` of the closed
-    disk this is the interpolant whose free parameter is ``omega_*``: a
-    constant ``eps`` gives the extremal family, a Blaschke product one of
-    the oracle's draws.  ``zw`` broadcasts against ``z``.  The caller forms
-    ``zw`` because numpy's complex products are not bitwise commutative,
-    so the operand order stays the caller's.  For ``|z| < 1`` and
-    ``|omega_*| <= 1`` coercivity, ``|B| - |z| |A| > 0``, keeps the
-    denominator away from 0.
+        h = (w_star (At - gamma_0 A) + (Bt - gamma_0 B) / z) / (z w_star A + B)
+
+    from :attr:`SchurPolynomialSet.lift_rows`, with no cancellation; the
+    interpolant is ``gamma_0 + z h`` and ``h(0) = omega'(0)``.  With
+    ``w_star = omega_*(z)`` for a self-map ``omega_*`` of the closed disk,
+    a constant ``eps`` gives the extremal family, a Blaschke product one of
+    the oracle's draws; ``w_star`` broadcasts against ``z``.  For
+    ``|z| < 1`` and ``|omega_*| <= 1`` coercivity, ``|B| - |z| |A| > 0``,
+    keeps the denominator away from 0.
     """
-    av, bv, atv, btv = eval_poly(set_.coeffs, z)
-    return (zw * atv + btv) / (zw * av + bv)
+    av, bv, cv, dv = eval_poly(set_.lift_rows, z)
+    return (w_star * cv + dv) / (z * w_star * av + bv)
 
 
 def mobius(a, z):

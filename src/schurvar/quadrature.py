@@ -8,9 +8,7 @@ budget so the accepted panels sum to at most the requested tolerance.
 The integrand callback receives the quadrature nodes as a single array of
 points on the open segment ``(0, z0)`` and may return extra leading batch
 axes; a batch shares panels and is refined until its worst member meets
-the budget.  Gauss nodes are interior, so integrands with a removable
-endpoint singularity (a ``1/zeta`` weight at the origin) are never asked
-for the endpoint value.
+the budget.  Gauss nodes are interior, so neither endpoint is evaluated.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import numpy as np
 
 from .domains import DomainMap, half_plane
 from .errors import BranchCutHit, ContractViolation, GeometryDegenerate
-from .polynomials import SchurPolynomialSet, build_polynomials, lift, omega_nested
+from .polynomials import SchurPolynomialSet, build_polynomials, lift
 from .quadrature import integrate_segment
 from .schur import (
     Boundary,
@@ -156,39 +156,27 @@ class OracleSample:
 # integrand and quadrature
 
 
-def _omega_prime_origin(set_: SchurPolynomialSet, epsilon):
-    """Derivative of the interpolant at 0 (depends on eps only for n = 0)."""
-    g0 = set_.gamma[0]
-    a0, _, at0, _ = set_.coeffs[:, 0].tolist()
-    _, b1, _, bt1 = set_.coeffs[:, 1].tolist() if set_.order >= 1 else (0.0,) * 4
-    return epsilon * (at0 - g0 * a0) + (bt1 - g0 * b1)
-
-
 def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta):
-    """``zeta^j (P(omega_{gamma,eps}(zeta)) - P(gamma_0))``.
+    """``zeta^j (P(omega(zeta)) - P(gamma_0))`` for the free parameter ``epsilon``.
 
-    For ``j = -1`` the origin is a removable singularity; at ``zeta = 0``
-    the limit ``P'(gamma_0) * omega'(0)`` is returned instead.  ``epsilon``
-    and ``zeta`` broadcast against each other, so a column of epsilons
-    against a row of nodes evaluates a whole boundary batch at once.
+    Written as ``zeta^(j+1) P[omega, gamma_0] h`` with the difference
+    quotient ``h = (omega - gamma_0) / zeta`` from :func:`lift` and the
+    domain's divided difference ``P[omega, gamma_0]``, so no two values of
+    ``P`` are subtracted and ``zeta = 0`` needs no special case (for
+    ``j = -1`` its value is the limit ``P'(gamma_0) omega'(0)``).
+    ``epsilon`` is a constant (the extremal family) or the values at
+    ``zeta`` of a self-map of the disk (the oracle's Blaschke products);
+    it broadcasts against ``zeta``, so a column of epsilons against a row
+    of nodes evaluates a whole boundary batch at once.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < -1:
         raise ContractViolation("weight power j must be an integer >= -1")
     zarr = np.asarray(zeta, dtype=np.complex128)
-    eps = np.asarray(epsilon, dtype=np.complex128)
-    scalar = zarr.ndim == 0 and eps.ndim == 0
+    w_star = np.asarray(epsilon, dtype=np.complex128)
     g0 = set_.gamma[0]
-    base = domain.map(lift(set_, eps * zarr, zarr)) - domain.map(g0)
-    if j >= 0:
-        out = base * zarr**j
-    else:
-        zero = zarr == 0
-        safe = np.where(zero, 1.0, zarr)
-        out = base / safe
-        if np.any(zero):
-            limit = domain.derivative(g0) * _omega_prime_origin(set_, eps)
-            out = np.where(zero, limit, out)
-    if scalar:
+    h = lift(set_, w_star, zarr)
+    out = zarr ** (j + 1) * domain.derivative(g0 + zarr * h, g0) * h
+    if zarr.ndim == 0 and w_star.ndim == 0:
         return complex(np.asarray(out))
     return out
 
@@ -217,12 +205,16 @@ def q_value(
     z0 = _check_endpoint(z0)
     if abs(complex(epsilon)) > 1.0 + 1e-9:
         raise ContractViolation("epsilon must satisfy |epsilon| <= 1")
-    eps = complex(epsilon)
+    return complex(_integrated(set_, complex(epsilon), j, z0, domain, quad_tol))
+
+
+def _integrated(set_, epsilon, j, z0, domain, quad_tol):
+    """The integrand for ``epsilon`` (a scalar or a column) along ``[0, z0]``."""
 
     def f(zeta):
-        return integrand(set_, eps, j, domain, zeta)
+        return integrand(set_, epsilon, j, domain, zeta)
 
-    return complex(integrate_segment(f, z0, quad_tol))
+    return integrate_segment(f, z0, quad_tol)
 
 
 def _equispaced_values(
@@ -238,11 +230,7 @@ def _equispaced_values(
     ``exp(2 pi i (k + shift) / count)``, as one batch: shared panels,
     refined until the worst member converges."""
     eps_col = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))[:, None]
-
-    def f(zeta):
-        return integrand(set_, eps_col, j, domain, zeta)
-
-    return np.asarray(integrate_segment(f, z0, quad_tol))
+    return np.asarray(_integrated(set_, eps_col, j, z0, domain, quad_tol))
 
 
 def boundary_curve(
@@ -305,28 +293,6 @@ def boundary_curve(
 # region dispatch
 
 
-def _unique_interpolant_value(
-    prefix: Sequence[complex], j: int, z0: complex, domain: DomainMap, quad_tol: float
-) -> complex:
-    """Integrate the unique interpolant attached to boundary data.
-
-    The interpolant is the nested form over the interior prefix seeded with
-    ``gamma_i * zeta`` (for ``i = 0`` that seed is the whole map), and the
-    subtracted constant is its value at the origin.
-    """
-    inner = tuple(prefix[:-1])
-    seed = complex(prefix[-1])
-    center = domain.map(omega_nested(inner, seed, 0.0))
-
-    def f(zeta):
-        values = domain.map(omega_nested(inner, seed, zeta)) - center
-        if j == -1:
-            return values / zeta
-        return values * zeta**j
-
-    return complex(integrate_segment(f, z0, quad_tol))
-
-
 def _validate_polygon(points: np.ndarray, geom_tol: float) -> None:
     """Reject a boundary polygon that is not a simple convex loop.
 
@@ -365,10 +331,12 @@ def region(request: RegionRequest) -> RegionResult:
     if isinstance(cls, Exterior):
         return Empty()
     if isinstance(cls, Boundary):
-        w0 = _unique_interpolant_value(
-            cls.gamma_prefix, request.j, request.z0, request.domain, quad_tol
-        )
-        return SinglePoint(w0=w0)
+        # the extremal member of the interior prefix at eps = gamma_i; for
+        # i = 0 the set (0,) makes it gamma_0 * zeta
+        *inner, seed = cls.gamma_prefix
+        set_ = build_polynomials(inner or (0.0,))
+        w0 = _integrated(set_, seed, request.j, request.z0, request.domain, quad_tol)
+        return SinglePoint(w0=complex(w0))
     assert isinstance(cls, Interior)
     set_ = build_polynomials(cls.gamma)
     angles, values = boundary_curve(
@@ -496,18 +464,12 @@ def oracle_samples(
     rng = np.random.default_rng(seed)
     degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)
 
-    center = domain.map(set_.gamma[0])
-
     def f(zeta):
         factors = (zeta[None, None, :] - zeros_mat[:, :, None]) / (
             1.0 - np.conjugate(zeros_mat)[:, :, None] * zeta[None, None, :]
         )
         factors = np.where(mask[:, :, None], factors, 1.0)
-        w_star = fronts[:, None] * factors.prod(axis=1)
-        base = domain.map(lift(set_, zeta[None, :] * w_star, zeta)) - center
-        if j == -1:
-            return base / zeta[None, :]
-        return base * zeta[None, :] ** j
+        return integrand(set_, fronts[:, None] * factors.prod(axis=1), j, domain, zeta)
 
     values = np.atleast_1d(integrate_segment(f, z0, quad_tol))
     return [

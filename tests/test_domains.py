@@ -155,3 +155,73 @@ def test_maps_accept_arrays():
     assert abs(out[1] - 3.0) < 1e-15
     back = hp.inverse(out)
     assert np.max(np.abs(back - z)) < 1e-12
+
+
+
+# --------------------------------------------------------------------------
+# divided differences
+
+
+def divided_difference_pairs(rng):
+    """``(w, w0)`` in the disk with ``|w - w0|`` from 1e-14 to 0.5, then
+    pairs whose strip ratio ``u = (1 + w)(1 - w0) / ((1 - w)(1 + w0))`` is
+    unimodular up to the rounding of ``w``, with ``u != 1``."""
+    pairs = []
+    while len(pairs) < 300:
+        w0 = complex(unit_disk_grid(rng, 1)[0])
+        step = 10 ** rng.uniform(-14, math.log10(0.5)) * cmath.exp(2j * math.pi * rng.random())
+        if abs(w0 + step) < 0.99:
+            pairs.append((w0 + step, w0))
+    for w0 in unit_disk_grid(rng, 100).tolist():
+        theta = math.copysign(10 ** rng.uniform(-12, -1), rng.random() - 0.5)
+        x = 2j * math.sin(theta / 2) * cmath.exp(0.5j * theta)  # u - 1, |u| = 1
+        pairs.append(((x * (1 + w0) + 2 * w0) / (2 + x * (1 + w0)), w0))
+    return pairs
+
+
+REFERENCE_MAPS = {
+    "half-plane": (half_plane(), lambda mp, w: (1 + w) / (1 - w)),
+    "strip": (strip(), lambda mp, w: mp.log((1 + w) / (1 - w))),
+    "disk": (disk(0.3 - 0.2j, 1.5), lambda mp, w: mp.mpc(0.3, -0.2) + 1.5 * w),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCE_MAPS))
+def test_divided_difference_against_50_digit_reference(label):
+    # relative error <= 5.1e-16 measured; log1p(x) / x on the strip errs 3e-3
+    mp = pytest.importorskip("mpmath")
+    dom, ref_map = REFERENCE_MAPS[label]
+    pairs = divided_difference_pairs(np.random.default_rng(61))
+    w = np.array([p[0] for p in pairs])
+    w0 = np.array([p[1] for p in pairs])
+    batch = dom.derivative(w, w0)
+    with mp.workdps(50):
+        for k, (a, b) in enumerate(pairs):
+            ma, mb = mp.mpc(a), mp.mpc(b)
+            want = complex((ref_map(mp, ma) - ref_map(mp, mb)) / (ma - mb))
+            assert abs(dom.derivative(a, b) - want) <= 4e-15 * abs(want)
+            assert abs(batch[k] - want) <= 4e-15 * abs(want)
+
+
+def test_divided_difference_at_equal_points_is_the_derivative():
+    # u == 1 exactly on the strip: L(1) = 1, no division by x = 0
+    rng = np.random.default_rng(67)
+    pts = unit_disk_grid(rng, 50)
+    want = {"half-plane": 2.0 / (1.0 - pts) ** 2, "strip": 2.0 / (1.0 - pts**2), "disk": 1.5}
+    for label, (dom, _) in REFERENCE_MAPS.items():
+        same = dom.derivative(pts, pts)
+        assert np.array_equal(same, dom.derivative(pts))
+        assert np.max(np.abs(same - want[label]) / np.abs(same)) < 2e-15
+        for z in pts[:5].tolist():
+            assert isinstance(dom.derivative(z), complex)
+            assert dom.derivative(z) == dom.derivative(z, z)
+
+
+def test_divided_difference_broadcasts():
+    w = np.linspace(-0.5, 0.5, 7)[:, None] * (1 + 0.5j)
+    w0 = np.array([0.1, -0.2j, 0.3])
+    for dom, _ in REFERENCE_MAPS.values():
+        out = dom.derivative(w, w0)
+        assert out.shape == (7, 3)
+        single = dom.derivative(complex(w[2, 0]), complex(w0[1]))
+        assert abs(out[2, 1] - single) <= 1e-15 * abs(single)

@@ -16,6 +16,7 @@ from schurvar import (
     Jordan,
     RegionRequest,
     SinglePoint,
+    ToleranceConfig,
     boundary_curve,
     build_polynomials,
     containment_depths,
@@ -32,6 +33,7 @@ from schurvar import (
     integrate_segment,
     log_derivative_curve,
     log_derivative_setup,
+    omega_nested,
     oracle_samples,
     q_value,
     region,
@@ -275,6 +277,52 @@ def test_boundary_cost_does_not_grow_with_sample_count(monkeypatch):
     assert totals[0] == totals[1] > 0
 
 
+# Interior data whose region is large: P(gamma_0) is near 2000 on the
+# half-plane, so forming P(omega) - P(gamma_0) near zeta = 0 by subtraction
+# puts the absolute panel budget at the rounding level of the two values.
+
+LARGE_REGIONS = [
+    ((0.999, 0.5), -1, 0.3),
+    ((0.999, 0.5), -1, 0.5),
+    ((0.999, 0.5), 0, 0.5),
+    ((0.99, 0.5), -1, 0.9),
+]
+
+
+def mp_boundary_value(mp, gamma, eps, j, z0):
+    """The half-plane boundary value at ``eps`` by 30-digit tanh-sinh
+    quadrature of the nested interpolant."""
+    with mp.workdps(30):
+        g = [mp.mpc(complex(x)) for x in gamma]
+        e, end = mp.mpc(complex(eps)), mp.mpc(complex(z0))
+
+        def omega(z):
+            w = e * z
+            for k in range(len(g) - 1, -1, -1):
+                w = (w + g[k]) / (1 + mp.conj(g[k]) * w)
+                w = z * w if k else w
+            return w
+
+        def f(t):
+            z = t * end
+            w = omega(z)
+            return z**j * ((1 + w) / (1 - w) - (1 + g[0]) / (1 - g[0])) * end
+
+        return complex(mp.quad(f, [0, 1]))
+
+
+@pytest.mark.parametrize("gamma, j, z0", LARGE_REGIONS)
+def test_boundary_of_a_large_region_converges(gamma, j, z0):
+    s = build_polynomials(gamma)
+    angles, values = boundary_curve(s, j, z0, half_plane(), 512)
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values)) > 300.0
+    mp = pytest.importorskip("mpmath")
+    for k in (0, 100, 256, 400):
+        want = mp_boundary_value(mp, gamma, np.exp(1j * angles[k]), j, z0)
+        assert abs(values[k] - want) < 1e-10
+
+
 # --------------------------------------------------------------------------
 # request validation and dispatch
 
@@ -332,6 +380,59 @@ def test_region_boundary_data_at_depth_one():
     out = region(RegionRequest(data=(0.5, 0.75), j=0, z0=Z0, domain=half_plane()))
     assert isinstance(out, SinglePoint)
     assert abs(out.w0 - (-1.8 - 6.0 * np.log(0.7))) < 1e-10
+
+
+def nested_single_point(prefix, j, z0, domain):
+    """Boundary data's value in nested form: the interpolant over the
+    interior prefix seeded with ``gamma_i * zeta``, minus its value at 0."""
+    inner, seed = tuple(prefix[:-1]), complex(prefix[-1])
+    center = domain.map(omega_nested(inner, seed, 0.0))
+
+    def f(zeta):
+        values = domain.map(omega_nested(inner, seed, zeta)) - center
+        return values / zeta if j == -1 else values * zeta**j
+
+    return complex(integrate_segment(f, z0, 1e-10))
+
+
+def boundary_data(prefix):
+    """The coefficients ``c_0 .. c_i`` that peel to ``prefix`` (``|gamma_i| = 1``):
+    Taylor coefficients of the nested interpolant on a circle of radius 1/2."""
+    m = 64
+    circle = 0.5 * np.exp(2j * np.pi * np.arange(m) / m)
+    values = omega_nested(prefix[:-1], prefix[-1], circle)
+    return tuple(np.fft.fft(values)[: len(prefix)] / m / 0.5 ** np.arange(len(prefix)))
+
+
+BOUNDARY_PREFIXES = [
+    (0.3 - 0.2j, np.exp(0.4j)),
+    (-0.5, 0.6j, -1.0),
+    (0.2j, 0.4 + 0.3j, -0.6, np.exp(-2.0j)),
+]
+
+
+@pytest.mark.parametrize("j", [-1, 0, 2])
+@pytest.mark.parametrize("label", sorted(SPECTRAL_DOMAINS))
+def test_region_boundary_data_matches_nested_form(label, j):
+    domain = SPECTRAL_DOMAINS[label]
+    for prefix in BOUNDARY_PREFIXES:
+        data = boundary_data(prefix)
+        assert schur_parameters(CaratheodoryData(data)).unimodular_index == len(prefix) - 1
+        for z0 in (0.3, 0.6j, 0.85 * np.exp(2.5j)):
+            out = region(RegionRequest(data=data, j=j, z0=z0, domain=domain))
+            assert isinstance(out, SinglePoint)
+            assert abs(out.w0 - nested_single_point(prefix, j, z0, domain)) < 1e-10
+
+
+def test_region_boundary_parameter_just_outside_the_circle():
+    # gamma_1 = 1 + 5e-7 lies in the cls_tol band but outside |eps| <= 1
+    tol = ToleranceConfig(cls_tol=1e-6)
+    data = (0.3, (1 + 5e-7) * 0.91)
+    for j in (-1, 0, 2):
+        out = region(RegionRequest(data=data, j=j, z0=0.5, domain=half_plane(), tol=tol))
+        assert isinstance(out, SinglePoint)
+        want = nested_single_point((0.3, 1 + 5e-7), j, 0.5, half_plane())
+        assert abs(out.w0 - want) < 1e-10
 
 
 def test_region_interior_data_gives_jordan_curve():
