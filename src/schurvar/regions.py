@@ -251,16 +251,16 @@ def boundary_curve(
     only, starting from the smallest power of two ``M >= max(16,
     log(quad_tol) / log|z0|)``; when the upper half of their discrete
     Fourier spectrum is at most ``quad_tol``, the ``n_samples`` values are
-    one zero-padded inverse FFT of it.  Otherwise ``M`` doubles, and only
-    the ``M`` new epsilons halfway between the old ones are integrated.
-    When ``M`` reaches a power-of-two ``n_samples`` these are the requested
-    samples; any other ``n_samples`` below ``2 M`` is integrated directly.
-    The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256 at 0.9
-    for the default tolerance), not with ``n_samples``.  A batch of a
-    subset of the requested epsilons never takes more panels than all of
-    them, so a power-of-two ``n_samples`` never costs more quadrature
-    points than integrating it at once.  The values agree with direct
-    integration to rounding.
+    one inverse FFT of it.  Otherwise ``M`` doubles, and only the ``M`` new
+    epsilons halfway between the old ones are integrated.  When ``M``
+    reaches a power-of-two ``n_samples`` these are the requested samples.
+    Any other ``n_samples`` is resampled from the first ``M`` above it if
+    that ``M``'s tail passes, and integrated directly otherwise.  The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256
+    at 0.9 for the default tolerance), not with ``n_samples``.  A batch of
+    a subset of some epsilons never takes more quadrature points per
+    epsilon than all of them, so the doublings never cost more points than
+    integrating the last ``M`` at once (``n_samples`` itself when it is a
+    power of two).  The values agree with direct integration to rounding.
     """
     z0 = _check_endpoint(z0)
     if n_samples < _MIN_BOUNDARY_SAMPLES:
@@ -275,18 +275,36 @@ def boundary_curve(
     if m >= n_samples:
         return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
     values = _equispaced_values(set_, j, z0, domain, m, quad_tol)
-    while m < n_samples:
-        coeffs = np.fft.fft(values) / m
-        if np.max(np.abs(coeffs[m // 2 :])) <= quad_tol:
-            padded = np.zeros(n_samples, dtype=np.complex128)
-            padded[:m] = coeffs
-            return angles, np.fft.ifft(padded) * n_samples
-        if 2 * m > n_samples:
+    while m != n_samples:
+        resampled = _resampled(values, n_samples, quad_tol)
+        if resampled is not None:
+            return angles, resampled
+        if m > n_samples:
             return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
         between = _equispaced_values(set_, j, z0, domain, m, quad_tol, shift=0.5)
         values = np.column_stack((values, between)).ravel()
         m *= 2
     return angles, values
+
+
+def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):
+    """The trigonometric interpolant of ``m`` equispaced ``values`` (a power
+    series in ``epsilon``) at ``n_samples > m / 2`` equispaced angles, or
+    None when the upper half of its spectrum exceeds ``quad_tol``.
+
+    Coefficients ``k >= n_samples`` are folded onto ``k - n_samples``,
+    where they alias on the coarser grid, so the samples are those of the
+    whole interpolant.
+    """
+    m = len(values)
+    coeffs = np.fft.fft(values) / m
+    if np.max(np.abs(coeffs[m // 2 :])) > quad_tol:
+        return None
+    kept = min(m, n_samples)
+    folded = np.zeros(n_samples, dtype=np.complex128)
+    folded[:kept] = coeffs[:kept]
+    folded[: m - kept] += coeffs[kept:]
+    return np.fft.ifft(folded) * n_samples
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +483,12 @@ def oracle_samples(
     degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)
 
     def f(zeta):
-        factors = (zeta[None, None, :] - zeros_mat[:, :, None]) / (
-            1.0 - np.conjugate(zeros_mat)[:, :, None] * zeta[None, None, :]
-        )
-        factors = np.where(mask[:, :, None], factors, 1.0)
-        return integrand(set_, fronts[:, None] * factors.prod(axis=1), j, domain, zeta)
+        # one zero column at a time, so no array is larger than (count, nodes)
+        product = np.ones((count, len(zeta)), dtype=np.complex128)
+        for zeros, used in zip(zeros_mat.T, mask.T):
+            factor = (zeta - zeros[:, None]) / (1.0 - np.conjugate(zeros)[:, None] * zeta)
+            product *= np.where(used[:, None], factor, 1.0)
+        return integrand(set_, fronts[:, None] * product, j, domain, zeta)
 
     values = np.atleast_1d(integrate_segment(f, z0, quad_tol))
     return [

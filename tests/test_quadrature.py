@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from schurvar import ContractViolation, QuadratureNonConvergence, integrate_segment
+import schurvar.regions
+from schurvar import (
+    ContractViolation,
+    QuadratureNonConvergence,
+    boundary_curve,
+    build_polynomials,
+    half_plane,
+    integrand,
+    integrate_segment,
+)
 
 
 def test_monomial_is_exact():
@@ -24,12 +33,59 @@ def test_geometric_series_matches_logarithm():
 
 
 def test_needle_near_the_path_still_converges():
-    # pole at distance 1e-3 from the segment forces deep refinement
+    # pole at distance 1e-3 from the segment, inside the disk: the rule pair
+    # disagrees, and bisection refines deep toward it
     z0 = 0.9
     pole = 0.45 + 1e-3j
-    got = integrate_segment(lambda z: 1.0 / (z - pole), z0, 1e-10)
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return 1.0 / (z - pole)
+
+    got = integrate_segment(f, z0, 1e-10)
     want = np.log(z0 - pole) - np.log(-pole)
     assert abs(got - want) < 1e-8
+    assert len(calls) > 20
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.7, 0.9])
+def test_pole_just_outside_the_disk_is_accepted_in_one_call(radius):
+    # analytic in the unit disk: the order the Bernstein ellipse of |z0|
+    # chooses meets the tolerance, from whichever side the pole is near
+    z0 = radius * np.exp(0.4j)
+    for angle in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
+        pole = 1.05 * np.exp(1j * (0.4 + angle))
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return 1.0 / (z - pole)
+
+        got = integrate_segment(f, z0, 1e-10)
+        assert abs(got - np.log1p(-z0 / pole)) < 1e-10
+        assert len(calls) == 1
+
+
+# The one integrand call of each boundary: (epsilons, nodes).  Bisection
+# took three calls of 15 nodes, 45 nodes per epsilon, at every radius.
+NODES_PER_EPSILON = {0.3: (32, 13), 0.55: (64, 20), 0.7: (128, 25), 0.85: (256, 38)}
+
+
+@pytest.mark.parametrize("radius", sorted(NODES_PER_EPSILON))
+def test_boundary_takes_one_rule_pair_per_epsilon(monkeypatch, radius):
+    calls = []
+
+    def counting(set_, epsilon, j, domain, zeta):
+        calls.append((np.size(epsilon), np.size(zeta)))
+        return integrand(set_, epsilon, j, domain, zeta)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    s = build_polynomials((0.3 + 0.2j, -0.4j, 0.5, 0.1 - 0.3j, 0.2))
+    for j in (-1, 0, 2):
+        calls.clear()
+        boundary_curve(s, j, radius * np.exp(0.7j), half_plane(), 512)
+        assert calls == [NODES_PER_EPSILON[radius]]
 
 
 def test_batched_rows_match_single_calls():
@@ -66,6 +122,18 @@ def test_rejects_bad_arguments():
         integrate_segment(lambda z: z, 0.5, 0.0)
     with pytest.raises(ContractViolation):
         integrate_segment(lambda z: z, 0.5, -1e-10)
+
+
+def test_infinite_tolerance_takes_the_smallest_rule_pair():
+    # the budget cannot push the order below one, nor overflow it
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return z
+
+    assert abs(integrate_segment(f, 0.5j, float("inf")) - (0.5j) ** 2 / 2.0) < 1e-15
+    assert calls == [3]
 
 
 def test_endpoint_outside_the_unit_disk_is_fine():

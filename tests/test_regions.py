@@ -208,6 +208,18 @@ def spy_on_batches(monkeypatch):
     return batches
 
 
+def count_points(monkeypatch):
+    """A list that collects the points of every integrand evaluation."""
+    points = []
+
+    def counting(set_, epsilon, j, domain, zeta):
+        points.append(np.broadcast(epsilon, zeta).size)
+        return integrand(set_, epsilon, j, domain, zeta)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    return points
+
+
 def test_spectral_boundary_doubles_until_the_tail_is_small(monkeypatch):
     # order-0 data on the half-plane: the coefficients 2 z0^(k+1) / (k+1)
     # are still above 1e-10 in the upper half of the a-priori 32; the
@@ -222,14 +234,8 @@ def test_spectral_boundary_doubles_until_the_tail_is_small(monkeypatch):
 def test_boundary_whose_spectrum_needs_all_samples_costs_no_more_than_direct(monkeypatch):
     # order 0 at |z0| = 0.9: the tail of the a-priori 256 is ~2e-8, so the
     # 256 epsilons in between complete the 512 requested ones
-    points = []
-
-    def counting(set_, epsilon, j, domain, zeta):
-        points.append(np.broadcast(epsilon, zeta).size)
-        return integrand(set_, epsilon, j, domain, zeta)
-
+    points = count_points(monkeypatch)
     batches = spy_on_batches(monkeypatch)
-    monkeypatch.setattr(schurvar.regions, "integrand", counting)
     s = build_polynomials((0.0,))
     _, values = boundary_curve(s, 0, 0.9, half_plane(), 512)
     assert batches == [(256, 0.0), (256, 0.5)]
@@ -240,12 +246,55 @@ def test_boundary_whose_spectrum_needs_all_samples_costs_no_more_than_direct(mon
     assert np.max(np.abs(values - want)) < 1e-13
 
 
-def test_boundary_whose_spectrum_fails_below_other_counts_is_integrated_directly(monkeypatch):
+def test_boundary_whose_spectrum_fails_below_other_counts_reuses_its_tries(monkeypatch):
+    # order 0 at |z0| = 0.93 and 1000 samples: the tail of the a-priori 512
+    # fails, and 1000 is not a power of two; the 512 epsilons in between
+    # pass, and the 1024 values are resampled instead of integrating 1000
+    # more
+    points = count_points(monkeypatch)
     batches = spy_on_batches(monkeypatch)
+    s = build_polynomials((0.5,))
+    _, values = boundary_curve(s, 0, 0.93, half_plane(), 1000)
+    assert batches == [(512, 0.0), (512, 0.5)]
+    spent = sum(points)
+    points.clear()
+    want = schurvar.regions._equispaced_values(s, 0, 0.93, half_plane(), 1000, 1e-10)
+    direct = sum(points)
+    # 1024 epsilons, none at a higher cost per epsilon than the direct batch
+    assert 0 < spent * 1000 <= direct * 1024
+    assert np.max(np.abs(values - want)) < 1e-13
+
+
+def test_boundary_whose_tries_never_pass_is_integrated_directly(monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    monkeypatch.setattr(schurvar.regions, "_resampled", lambda *args: None)
     s = build_polynomials((0.0,))
     _, values = boundary_curve(s, 0, 0.9, half_plane(), 500)
-    assert batches == [(256, 0.0), (500, 0.0)]
+    assert batches == [(256, 0.0), (256, 0.5), (500, 0.0)]
     assert np.array_equal(values, direct_boundary(s, 0, 0.9, half_plane(), 500))
+
+
+# Order 0-1 data near the circle, where the a-priori Gauss order is high and
+# the half-plane's pole on the unit circle sends batches to bisection.
+FALLBACK_SIDE_GAMMAS = [(0.0,), (0.4 - 0.3j,), (0.0, 0.5), (0.3 + 0.2j, -0.4j)]
+FALLBACK_SIDE_DOMAINS = [half_plane(), strip(), disk(0.1, 2.0)]
+#: Integrand points the 72 curves took with 15-point panel bisection alone.
+FALLBACK_SIDE_BISECTION_POINTS = 4_296_360
+
+
+def test_fallback_side_boundaries_cost_no_more_than_bisection_alone(monkeypatch):
+    points = count_points(monkeypatch)
+    curves = []
+    for radius in (0.9, 0.93, 0.95):
+        for domain in FALLBACK_SIDE_DOMAINS:
+            for gamma in FALLBACK_SIDE_GAMMAS:
+                for j in (-1, 2):
+                    s = build_polynomials(gamma)
+                    z0 = radius * np.exp(0.7j)
+                    curves.append((s, j, z0, domain, boundary_curve(s, j, z0, domain, 1000)[1]))
+    assert 0 < sum(points) <= FALLBACK_SIDE_BISECTION_POINTS
+    for s, j, z0, domain, values in curves[::7]:
+        assert np.max(np.abs(values - direct_boundary(s, j, z0, domain, 1000))) < 1e-13
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
@@ -261,13 +310,7 @@ def test_boundary_below_the_spectral_count_is_integrated_directly():
 
 
 def test_boundary_cost_does_not_grow_with_sample_count(monkeypatch):
-    points = []
-
-    def counting(set_, epsilon, j, domain, zeta):
-        points.append(np.broadcast(epsilon, zeta).size)
-        return integrand(set_, epsilon, j, domain, zeta)
-
-    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    points = count_points(monkeypatch)
     s = build_polynomials((0.2, -0.3j, 0.1, 0.4))
     totals = []
     for n in (512, 4096):
