@@ -42,9 +42,12 @@ from .errors import ContractViolation, QuadratureNonConvergence
 __all__ = ["integrate_segment"]
 
 _NODES, _WEIGHTS = leggauss(15)
-#: Highest a-priori order (80 nodes a call, |z0| up to about 0.96 at
-#: 1e-10); nearer the circle bisection refines toward the singularity.
-_MAX_ORDER = 32
+#: Highest a-priori order: its pair takes 48 nodes, about the 45 of one
+#: bisection level, and covers |z0| up to 0.9 at 1e-10.  Nearer the circle
+#: larger pairs failed or outgrew bisection on order 0-1 boundary data
+#: (up to 1.5 times the points of bisection alone), so bisection takes
+#: over there.
+_MAX_ORDER = 19
 #: The order is chosen for this share of the budget, which absorbs the
 #: unknown constant in front of ``rho^(-2m)``.
 _MARGIN = 0.25

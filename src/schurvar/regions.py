@@ -33,7 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .domains import DomainMap, half_plane
-from .errors import BranchCutHit, ContractViolation, GeometryDegenerate
+from .errors import (
+    BranchCutHit,
+    ContractViolation,
+    GeometryDegenerate,
+    QuadratureNonConvergence,
+)
 from .polynomials import SchurPolynomialSet, build_polynomials, lift
 from .quadrature import integrate_segment
 from .schur import (
@@ -253,14 +258,21 @@ def boundary_curve(
     Fourier spectrum is at most ``quad_tol``, the ``n_samples`` values are
     one inverse FFT of it.  Otherwise ``M`` doubles, and only the ``M`` new
     epsilons halfway between the old ones are integrated.  When ``M``
-    reaches a power-of-two ``n_samples`` these are the requested samples.
-    Any other ``n_samples`` is resampled from the first ``M`` above it if
-    that ``M``'s tail passes, and integrated directly otherwise.  The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256
-    at 0.9 for the default tolerance), not with ``n_samples``.  A batch of
-    a subset of some epsilons never takes more quadrature points per
-    epsilon than all of them, so the doublings never cost more points than
+    reaches a power-of-two ``n_samples`` these are the requested samples;
+    any other ``n_samples`` is resampled from the first ``M`` above it.
+    The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256 at 0.9
+    for the default tolerance), not with ``n_samples``.  A batch of a
+    subset of some epsilons never takes more quadrature points per epsilon
+    than all of them, so the doublings never cost more points than
     integrating the last ``M`` at once (``n_samples`` itself when it is a
-    power of two).  The values agree with direct integration to rounding.
+    power of two).
+
+    The ``n_samples`` epsilons are integrated directly when the first ``M``
+    above ``n_samples`` fails the tail check too, or when a batch of
+    epsilons that are not all requested ones does not converge.  That
+    worst case costs the tries on top of the direct batch: 256 + 256 + 500
+    epsilons if order-0 data at ``|z0| = 0.9`` failed both tail checks for
+    500 samples.  The values agree with direct integration to rounding.
     """
     z0 = _check_endpoint(z0)
     if n_samples < _MIN_BOUNDARY_SAMPLES:
@@ -280,11 +292,18 @@ def boundary_curve(
         if resampled is not None:
             return angles, resampled
         if m > n_samples:
-            return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
-        between = _equispaced_values(set_, j, z0, domain, m, quad_tol, shift=0.5)
+            break
+        try:
+            between = _equispaced_values(set_, j, z0, domain, m, quad_tol, shift=0.5)
+        except QuadratureNonConvergence:
+            if n_samples % (2 * m) == 0:
+                raise  # a direct batch holds these epsilons and fails on them too
+            break
         values = np.column_stack((values, between)).ravel()
         m *= 2
-    return angles, values
+    if m == n_samples:
+        return angles, values
+    return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
 
 
 def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):

@@ -14,6 +14,7 @@ from schurvar import (
     Empty,
     GeometryDegenerate,
     Jordan,
+    QuadratureNonConvergence,
     RegionRequest,
     SinglePoint,
     ToleranceConfig,
@@ -260,8 +261,14 @@ def test_boundary_whose_spectrum_fails_below_other_counts_reuses_its_tries(monke
     points.clear()
     want = schurvar.regions._equispaced_values(s, 0, 0.93, half_plane(), 1000, 1e-10)
     direct = sum(points)
-    # 1024 epsilons, none at a higher cost per epsilon than the direct batch
+    points.clear()
+    schurvar.regions._equispaced_values(s, 0, 0.93, half_plane(), 512, 1e-10)
+    first = sum(points)
+    # 1024 epsilons, none at a higher cost per epsilon than the direct 1000
+    # (so in total up to 2.4 % above them), and fewer points than the first
+    # try followed by the direct batch
     assert 0 < spent * 1000 <= direct * 1024
+    assert spent < first + direct
     assert np.max(np.abs(values - want)) < 1e-13
 
 
@@ -274,25 +281,48 @@ def test_boundary_whose_tries_never_pass_is_integrated_directly(monkeypatch):
     assert np.array_equal(values, direct_boundary(s, 0, 0.9, half_plane(), 500))
 
 
+def test_boundary_whose_tries_do_not_converge_is_integrated_directly(monkeypatch):
+    # near-body data at 768 samples: the a-priori 512 converge but fail the
+    # tail check, the 512 in between (not requested epsilons) hit the
+    # bisection's rounding floor, and the 768 requested ones converge
+    batches = spy_on_batches(monkeypatch)
+    s = build_polynomials((0.993,))
+    _, values = boundary_curve(s, -1, 0.914, half_plane(), 768)
+    assert batches == [(512, 0.0), (512, 0.5), (768, 0.0)]
+    assert np.array_equal(values, direct_boundary(s, -1, 0.914, half_plane(), 768))
+
+
+def test_boundary_raises_when_requested_epsilons_do_not_converge(monkeypatch):
+    # at 1024 samples the 512 in between are requested ones: no direct batch
+    batches = spy_on_batches(monkeypatch)
+    s = build_polynomials((0.993,))
+    with pytest.raises(QuadratureNonConvergence):
+        boundary_curve(s, -1, 0.914, half_plane(), 1024)
+    assert batches == [(512, 0.0), (512, 0.5)]
+
+
 # Order 0-1 data near the circle, where the a-priori Gauss order is high and
 # the half-plane's pole on the unit circle sends batches to bisection.
 FALLBACK_SIDE_GAMMAS = [(0.0,), (0.4 - 0.3j,), (0.0, 0.5), (0.3 + 0.2j, -0.4j)]
 FALLBACK_SIDE_DOMAINS = [half_plane(), strip(), disk(0.1, 2.0)]
-#: Integrand points the 72 curves took with 15-point panel bisection alone.
-FALLBACK_SIDE_BISECTION_POINTS = 4_296_360
+#: Integrand points the 24 curves at each |z0| took with 15-point panel
+#: bisection alone.
+FALLBACK_SIDE_BISECTION_POINTS = {0.9: 645_120, 0.93: 1_455_240, 0.95: 2_196_000}
 
 
 def test_fallback_side_boundaries_cost_no_more_than_bisection_alone(monkeypatch):
     points = count_points(monkeypatch)
     curves = []
-    for radius in (0.9, 0.93, 0.95):
+    for radius, bisection_points in FALLBACK_SIDE_BISECTION_POINTS.items():
+        points.clear()
         for domain in FALLBACK_SIDE_DOMAINS:
             for gamma in FALLBACK_SIDE_GAMMAS:
                 for j in (-1, 2):
                     s = build_polynomials(gamma)
                     z0 = radius * np.exp(0.7j)
-                    curves.append((s, j, z0, domain, boundary_curve(s, j, z0, domain, 1000)[1]))
-    assert 0 < sum(points) <= FALLBACK_SIDE_BISECTION_POINTS
+                    values = boundary_curve(s, j, z0, domain, 1000)[1]
+                    curves.append((s, j, z0, domain, values))
+        assert 0 < sum(points) <= bisection_points
     for s, j, z0, domain, values in curves[::7]:
         assert np.max(np.abs(values - direct_boundary(s, j, z0, domain, 1000))) < 1e-13
 
