@@ -18,18 +18,7 @@ from .errors import (
     QuadratureNonConvergence,
     SchurvarError,
 )
-from .polynomials import (
-    SchurPolynomialSet,
-    VariabilityDisk,
-    build_polynomials,
-    eval_poly,
-    identity_residuals,
-    lift,
-    mobius,
-    omega_nested,
-    variability_disk,
-)
-from .quadrature import integrate_segment
+from .polynomials import SchurPolynomialSet, build_polynomials, identity_residuals
 from .regions import (
     Empty,
     Jordan,
@@ -37,19 +26,9 @@ from .regions import (
     RegionRequest,
     RegionResult,
     SinglePoint,
-    boundary_curve,
     containment_depths,
     contains,
-    convex_hull,
-    convexity_defect,
-    distance_to_boundary,
-    enclosed_area,
-    hausdorff_distance,
-    integrand,
-    log_derivative_curve,
-    log_derivative_setup,
     oracle_samples,
-    q_value,
     region,
 )
 from .schur import (
@@ -66,6 +45,9 @@ from .schur import (
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` lists exactly the names re-exported here.  The
+# kernels behind them stay importable from their modules and check nothing
+# that RegionRequest, ToleranceConfig and CaratheodoryData guarantee.
 __all__ = [
     "__version__",
     # errors
@@ -86,14 +68,8 @@ __all__ = [
     "schur_parameters",
     "data_from_parameters",
     # polynomials
-    "mobius",
     "SchurPolynomialSet",
-    "VariabilityDisk",
     "build_polynomials",
-    "eval_poly",
-    "lift",
-    "omega_nested",
-    "variability_disk",
     "identity_residuals",
     # domains
     "DomainMap",
@@ -101,8 +77,6 @@ __all__ = [
     "disk",
     "strip",
     "parse_domain",
-    # quadrature
-    "integrate_segment",
     # regions
     "RegionRequest",
     "RegionResult",
@@ -110,18 +84,8 @@ __all__ = [
     "SinglePoint",
     "Jordan",
     "OracleSample",
-    "integrand",
-    "q_value",
-    "boundary_curve",
     "region",
-    "log_derivative_curve",
-    "log_derivative_setup",
     "oracle_samples",
     "contains",
     "containment_depths",
-    "convexity_defect",
-    "convex_hull",
-    "distance_to_boundary",
-    "hausdorff_distance",
-    "enclosed_area",
 ]

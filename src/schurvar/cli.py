@@ -41,7 +41,6 @@ import numpy as np
 
 from .domains import DomainMap, parse_domain
 from .errors import (
-    BranchCutHit,
     ContractViolation,
     DegenerateDenominator,
     GeometryDegenerate,
@@ -73,20 +72,20 @@ EXIT_INPUT_ERROR = 2
 EXIT_CLASSIFICATION_MISMATCH = 3
 EXIT_NUMERICAL_FAILURE = 4
 
-#: Largest ``--samples``.  A boundary integrated sample by sample holds a
-#: few (samples x 15) complex arrays: a process peaks near 160 MB here.
+#: Largest ``--samples``.  A boundary integrates a few hundred epsilons and
+#: FFT-resamples them, so ``boundary`` peaks near 49 MB here (peak RSS of
+#: the process, order-3 half-plane data at |z0| 0.5 and 0.9).  A count
+#: whose spectral tries fail is integrated directly as (samples x 15)
+#: arrays: order-0 data 0.99 at |z0| = 0.95 peaks near 150 MB.
 MAX_SAMPLES = 65536
-#: Largest ``--count``.  The oracle holds (count x 6 x 15) complex arrays:
-#: a process peaks near 80 MB here.
+#: Largest ``--count``.  The oracle builds (count x nodes) complex arrays
+#: one Blaschke zero column at a time, with up to 48 nodes per rule pair:
+#: ``sample`` peaks near 59 MB here at |z0| = 0.5 and 91 MB at 0.9, where
+#: the pair is largest (same data).
 MAX_COUNT = 10000
 _VERIFY_LAWS = ("mirror", "determinant", "coercivity", "domination")
 _VERIFY_BOUND = 1e-10
-_NUMERICAL_ERRORS = (
-    QuadratureNonConvergence,
-    DegenerateDenominator,
-    GeometryDegenerate,
-    BranchCutHit,
-)
+_NUMERICAL_ERRORS = (QuadratureNonConvergence, DegenerateDenominator, GeometryDegenerate)
 
 
 def _parse_complex(text: str) -> complex:
@@ -117,16 +116,16 @@ def _load_input(path: str, domain_override: str | None) -> tuple[CaratheodoryDat
     return data, parse_domain(label)
 
 
-def _quad_tol(args) -> float:
-    if args.quad_tol is not None:
-        return args.quad_tol
-    env = os.environ.get("SCHUR_QUAD_TOL")
-    if env:
-        value = float(env)
-        if not 0.0 < value < math.inf:
-            raise ValueError("SCHUR_QUAD_TOL must be positive and finite")
-        return value
-    return 1e-10
+def _tolerances(args) -> ToleranceConfig:
+    """``--quad-tol``, else ``SCHUR_QUAD_TOL``, else the default, checked
+    by ToleranceConfig."""
+    quad_tol = args.quad_tol
+    if quad_tol is None:
+        env = os.environ.get("SCHUR_QUAD_TOL")
+        if not env:
+            return ToleranceConfig()
+        quad_tol = float(env)
+    return ToleranceConfig(quad_tol=quad_tol)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -171,7 +170,7 @@ def _at_most(flag: str, value: int, cap: int) -> None:
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
     _at_most("--samples", args.samples, MAX_SAMPLES)
     data, domain = _load_input(args.input, args.domain)
-    tol = ToleranceConfig(quad_tol=_quad_tol(args))
+    tol = _tolerances(args)
     cls = schur_parameters(data, tol)
     if not isinstance(cls, Interior):
         kind = "boundary" if isinstance(cls, Boundary) else "exterior"

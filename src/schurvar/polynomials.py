@@ -50,20 +50,14 @@ import numpy as np
 from .errors import ContractViolation, DegenerateDenominator
 from .schur import check_parameters
 
-__all__ = [
-    "mobius",
-    "SchurPolynomialSet",
-    "VariabilityDisk",
-    "build_polynomials",
-    "eval_poly",
-    "lift",
-    "omega_nested",
-    "variability_disk",
-    "identity_residuals",
-]
+__all__ = ["SchurPolynomialSet", "build_polynomials", "identity_residuals"]
 
 #: Denominators smaller than this are treated as exact zeros.
 _DENOM_FLOOR = 1e-300
+#: The polar grid of :func:`identity_residuals`: three radii, the last on
+#: the circle, times 64 equispaced angles.
+_RESIDUAL_RADII = (0.3, 0.7, 1.0)
+_RESIDUAL_ANGLES = 64
 
 
 def eval_poly(coeffs: np.ndarray | Sequence[complex], z):
@@ -236,17 +230,7 @@ def variability_disk(set_: SchurPolynomialSet, z) -> VariabilityDisk:
     return VariabilityDisk(center=complex(center), radius=float(radius))
 
 
-def _polar_grid(radii: Sequence[float], n_angles: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    ring = np.exp(1j * angles)
-    return np.concatenate([r * ring for r in radii])
-
-
-def identity_residuals(
-    gamma: Sequence[complex],
-    radii: Sequence[float] = (0.3, 0.7, 1.0),
-    n_angles: int = 64,
-) -> dict[str, float]:
+def identity_residuals(gamma: Sequence[complex]) -> dict[str, float]:
     """Worst-case violations of the four polynomial laws on a polar grid.
 
     Returns absolute mismatches for the two identities ("mirror",
@@ -256,7 +240,8 @@ def identity_residuals(
     """
     set_ = build_polynomials(gamma)
     n = set_.order
-    z = _polar_grid(radii, n_angles)
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(_RESIDUAL_ANGLES) / _RESIDUAL_ANGLES))
+    z = np.concatenate([r * ring for r in _RESIDUAL_RADII])
     av, bv, atv, btv = eval_poly(set_.coeffs, z)
     a_inv, b_inv = eval_poly(set_.coeffs[:2], 1.0 / np.conjugate(z))
     zn = z**n

@@ -12,12 +12,11 @@ two agree to within the budget.  That a-posteriori check, not ``rho``,
 makes the result correct: ``max |f|`` on the ellipse is not known, and
 data near the boundary of the coefficient body makes it large.
 
-When the check fails, or ``|z0| >= 1`` leaves ``rho`` undefined, or the
-order exceeds ``_MAX_ORDER``, composite 15-point panels with interval
-bisection take over: a panel is accepted when refining it into two halves
-changes its value by at most the panel's share of the budget, and each
-split halves the share so the accepted panels sum to at most the
-requested tolerance.
+When the check fails, or the order exceeds ``_MAX_ORDER``, composite
+15-point panels with interval bisection take over: a panel is accepted
+when refining it into two halves changes its value by at most the panel's
+share of the budget, and each split halves the share so the accepted
+panels sum to at most the requested tolerance.
 
 The integrand callback receives the quadrature nodes as a single array of
 points on the open segment ``(0, z0)`` and may return extra leading batch
@@ -37,9 +36,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ContractViolation, QuadratureNonConvergence
+from .errors import QuadratureNonConvergence
 
-__all__ = ["integrate_segment"]
+__all__: list[str] = []
 
 _NODES, _WEIGHTS = leggauss(15)
 #: Highest a-priori order: its pair takes 48 nodes, about the 45 of one
@@ -51,6 +50,8 @@ _MAX_ORDER = 19
 #: The order is chosen for this share of the budget, which absorbs the
 #: unknown constant in front of ``rho^(-2m)``.
 _MARGIN = 0.25
+#: Bisection levels before QuadratureNonConvergence.
+_MAX_DEPTH = 20
 
 
 def _contract(values, weights):
@@ -101,35 +102,34 @@ def _rule_pair(m: int):
     return pair
 
 
-def integrate_segment(f: Callable, z0: complex, tol: float, max_depth: int = 20):
+def integrate_segment(f: Callable, z0: complex, tol: float):
     """Integrate ``f`` along the straight segment from 0 to ``z0``.
 
+    Requires ``0 < |z0| < 1`` and ``tol > 0``, which nothing here checks:
+    :class:`~schurvar.regions.RegionRequest` and
+    :func:`~schurvar.regions.oracle_samples` validate them before any
+    integral.
     ``f(zeta)`` gets an ``(m,)`` array of segment points and must return an
     array of shape ``(..., m)``; the result has shape ``(...,)`` with
     absolute error at most ``tol`` per batch member, as estimated by the
     difference of two Gauss rules.  The first call evaluates a rule pair
     whose order the Bernstein ellipse of ``|z0|`` chooses; if the pair
     disagrees by more than ``tol``, bisection of 15-point panels follows
-    and raises QuadratureNonConvergence after ``max_depth`` levels.
+    and raises QuadratureNonConvergence after ``_MAX_DEPTH`` levels.
     """
     z0 = complex(z0)
-    if z0 == 0:
-        raise ContractViolation("integration endpoint must be non-zero")
-    if not (tol > 0.0):
-        raise ContractViolation("quadrature tolerance must be positive")
 
     def on_unit(t: np.ndarray):
         return f(t * z0)
 
     budget = tol / abs(z0)
-    if abs(z0) < 1.0:
-        m = _order(abs(z0), budget)
-        if m <= _MAX_ORDER:
-            nodes, w_coarse, w_fine = _rule_pair(m)
-            values = on_unit(nodes)
-            coarse = _contract(values[..., :m], w_coarse)
-            fine = _contract(values[..., m:], w_fine)
-            if float(np.max(np.abs(fine - coarse))) <= budget:
-                return z0 * fine
+    m = _order(abs(z0), budget)
+    if m <= _MAX_ORDER:
+        nodes, w_coarse, w_fine = _rule_pair(m)
+        values = on_unit(nodes)
+        coarse = _contract(values[..., :m], w_coarse)
+        fine = _contract(values[..., m:], w_fine)
+        if float(np.max(np.abs(fine - coarse))) <= budget:
+            return z0 * fine
     whole = _panel(on_unit, 0.0, 1.0)
-    return z0 * _refine(on_unit, 0.0, 1.0, whole, budget, max_depth)
+    return z0 * _refine(on_unit, 0.0, 1.0, whole, budget, _MAX_DEPTH)

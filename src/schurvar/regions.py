@@ -22,6 +22,12 @@ classification:
 Everything here is a pure function of its inputs; batches over ``eps`` or
 over oracle samples share quadrature panels but are refined until every
 member meets the error budget.
+
+A :class:`RegionRequest` is validated once, when it is built, and
+:func:`oracle_samples` checks its loose arguments the same way.  The
+kernels behind them (:func:`integrand`, :func:`q_value`,
+:func:`boundary_curve` and the quadrature) state their preconditions and
+do not check them.
 """
 
 from __future__ import annotations
@@ -58,20 +64,10 @@ __all__ = [
     "SinglePoint",
     "Jordan",
     "OracleSample",
-    "integrand",
-    "q_value",
-    "boundary_curve",
     "region",
-    "log_derivative_curve",
-    "log_derivative_setup",
     "oracle_samples",
     "contains",
     "containment_depths",
-    "convexity_defect",
-    "convex_hull",
-    "distance_to_boundary",
-    "hausdorff_distance",
-    "enclosed_area",
 ]
 
 _MIN_BOUNDARY_SAMPLES = 4
@@ -90,11 +86,13 @@ _ROW_BLOCK = 16
 
 @dataclass(frozen=True)
 class RegionRequest:
-    """A fully specified region computation.
+    """A fully specified region computation, validated once here.
 
     ``j >= -1`` (integer weight power), ``0 < |z0| < 1``, ``samples >= 4``
     (the default 512 is what the containment tolerances are calibrated
-    for; tiny counts are allowed for smoke tests and quick plots).
+    for; tiny counts are allowed for smoke tests and quick plots); ``data``
+    and ``tol`` check themselves.  The kernels behind :func:`region` rely
+    on these checks and do not repeat them.
     """
 
     data: CaratheodoryData
@@ -107,11 +105,7 @@ class RegionRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.data, CaratheodoryData):
             object.__setattr__(self, "data", CaratheodoryData(tuple(self.data)))
-        if not isinstance(self.j, int) or isinstance(self.j, bool):
-            raise ContractViolation("weight power j must be an integer")
-        if self.j < -1:
-            raise ContractViolation("weight power j must be >= -1")
-        object.__setattr__(self, "z0", _check_endpoint(self.z0))
+        object.__setattr__(self, "z0", _check_weight_and_endpoint(self.j, self.z0))
         if self.samples < _MIN_BOUNDARY_SAMPLES:
             raise ContractViolation(
                 f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
@@ -172,10 +166,9 @@ def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta
     ``epsilon`` is a constant (the extremal family) or the values at
     ``zeta`` of a self-map of the disk (the oracle's Blaschke products);
     it broadcasts against ``zeta``, so a column of epsilons against a row
-    of nodes evaluates a whole boundary batch at once.
+    of nodes evaluates a whole boundary batch at once.  Requires an
+    integer ``j >= -1``, which nothing here checks.
     """
-    if not isinstance(j, int) or isinstance(j, bool) or j < -1:
-        raise ContractViolation("weight power j must be an integer >= -1")
     zarr = np.asarray(zeta, dtype=np.complex128)
     w_star = np.asarray(epsilon, dtype=np.complex128)
     g0 = set_.gamma[0]
@@ -194,27 +187,33 @@ def _check_endpoint(z0: complex) -> complex:
     return z0
 
 
+def _check_weight_and_endpoint(j: int, z0: complex) -> complex:
+    """Check an integer weight power ``j >= -1`` and return :func:`_check_endpoint`
+    of ``z0``: the checks of a region computation's ``j`` and ``z0``."""
+    if not isinstance(j, int) or isinstance(j, bool):
+        raise ContractViolation("weight power j must be an integer")
+    if j < -1:
+        raise ContractViolation("weight power j must be >= -1")
+    return _check_endpoint(z0)
+
+
 def q_value(
     set_: SchurPolynomialSet,
     j: int,
     z0: complex,
-    epsilon: complex,
+    epsilon,
     domain: DomainMap,
     quad_tol: float = 1e-10,
 ):
-    """Integrate the extremal integrand for one ``epsilon`` along ``[0, z0]``.
+    """Integrate the extremal integrand along ``[0, z0]`` for ``epsilon``,
+    a scalar or a column of epsilons (one value per row).
 
     For ``|epsilon| = 1`` this is a boundary point of the region; for
-    ``epsilon = 0`` it is the canonical interior point.
+    ``epsilon = 0`` it is the canonical interior point.  Requires an
+    integer ``j >= -1``, ``0 < |z0| < 1``, ``|epsilon| <= 1`` (up to
+    ``cls_tol`` for boundary data) and ``quad_tol > 0``, which nothing here
+    checks.
     """
-    z0 = _check_endpoint(z0)
-    if abs(complex(epsilon)) > 1.0 + 1e-9:
-        raise ContractViolation("epsilon must satisfy |epsilon| <= 1")
-    return complex(_integrated(set_, complex(epsilon), j, z0, domain, quad_tol))
-
-
-def _integrated(set_, epsilon, j, z0, domain, quad_tol):
-    """The integrand for ``epsilon`` (a scalar or a column) along ``[0, z0]``."""
 
     def f(zeta):
         return integrand(set_, epsilon, j, domain, zeta)
@@ -235,7 +234,7 @@ def _equispaced_values(
     ``exp(2 pi i (k + shift) / count)``, as one batch: shared panels,
     refined until the worst member converges."""
     eps_col = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))[:, None]
-    return np.asarray(_integrated(set_, eps_col, j, z0, domain, quad_tol))
+    return q_value(set_, j, z0, eps_col, domain, quad_tol)
 
 
 def boundary_curve(
@@ -273,14 +272,11 @@ def boundary_curve(
     worst case costs the tries on top of the direct batch: 256 + 256 + 500
     epsilons if order-0 data at ``|z0| = 0.9`` failed both tail checks for
     500 samples.  The values agree with direct integration to rounding.
+
+    Requires an integer ``j >= -1``, ``0 < |z0| < 1``, ``n_samples >= 4``
+    and a positive, finite ``quad_tol``: the fields of a valid
+    :class:`RegionRequest`, which nothing here checks again.
     """
-    z0 = _check_endpoint(z0)
-    if n_samples < _MIN_BOUNDARY_SAMPLES:
-        raise ContractViolation(
-            f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
-        )
-    if not 0.0 < quad_tol < math.inf:
-        raise ContractViolation("quadrature tolerance must be positive and finite")
     angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
     decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
     m = 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length()
@@ -372,7 +368,7 @@ def region(request: RegionRequest) -> RegionResult:
         # i = 0 the set (0,) makes it gamma_0 * zeta
         *inner, seed = cls.gamma_prefix
         set_ = build_polynomials(inner or (0.0,))
-        w0 = _integrated(set_, seed, request.j, request.z0, request.domain, quad_tol)
+        w0 = q_value(set_, request.j, request.z0, seed, request.domain, quad_tol)
         return SinglePoint(w0=complex(w0))
     assert isinstance(cls, Interior)
     set_ = build_polynomials(cls.gamma)
@@ -381,7 +377,7 @@ def region(request: RegionRequest) -> RegionResult:
     )
     witness = q_value(set_, request.j, request.z0, 0.0, request.domain, quad_tol)
     _validate_polygon(values, request.tol.geom_tol)
-    return Jordan(eps_angles=angles, boundary=values, interior_witness=witness)
+    return Jordan(eps_angles=angles, boundary=values, interior_witness=complex(witness))
 
 
 # --------------------------------------------------------------------------
@@ -490,13 +486,16 @@ def oracle_samples(
     zeros area-uniform in the disk of radius 0.95, unimodular front
     factor) lifted through the polynomial set and integrated.  All draws
     come from one PCG64 stream seeded with ``seed``; the whole batch is
-    integrated together.
+    integrated together.  ``j`` and ``z0`` are checked as in
+    :class:`RegionRequest` and ``quad_tol`` as in :class:`ToleranceConfig`,
+    before anything is integrated.
     """
+    z0 = _check_weight_and_endpoint(j, z0)
+    ToleranceConfig(quad_tol=quad_tol)  # raises on a bad quad_tol
     if count < 0:
         raise ContractViolation("sample count must be non-negative")
     if count == 0:
         return []
-    z0 = _check_endpoint(z0)
     set_ = build_polynomials(gamma)
     rng = np.random.default_rng(seed)
     degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)

@@ -52,8 +52,6 @@ __all__ = [
     "Exterior",
     "ExteriorReason",
     "SchurClassification",
-    "check_parameters",
-    "schur_step",
     "schur_parameters",
     "data_from_parameters",
 ]
@@ -170,14 +168,11 @@ def schur_step(
     """One Schur step on the generator pair: ``(p_j, q_j)``, two series of
     length m >= 2, to ``(p_{j+1}, q_{j+1})`` of length m - 1.
 
-    ``q[0]`` must be 1 and ``gamma`` must be ``p[0]`` with ``|gamma| < 1``.
-    The new ``q`` starts with exactly 1 again.
+    Requires ``q[0] == 1`` and ``gamma == p[0]`` with ``|gamma| < 1``; the
+    peel in :func:`schur_parameters`, its only caller, guarantees this, and
+    nothing here checks it.  The new ``q`` starts with exactly 1 again.
     """
     g = complex(gamma)
-    if not (2 <= len(p) == len(q) and g == p[0] and q[0] == 1.0 and abs(g) < 1.0):
-        raise ContractViolation(
-            "schur_step needs p, q of one length >= 2, q[0] == 1, gamma == p[0], |gamma| < 1"
-        )
     d = 1.0 - abs(g) ** 2
     gbar = g.conjugate()
     p_next = tuple([(a - g * b) / d for a, b in zip(p[1:], q[1:])])

@@ -16,28 +16,29 @@ from schurvar import (
     Interior,
     RegionRequest,
     SinglePoint,
-    boundary_curve,
     build_polynomials,
     containment_depths,
     contains,
-    convex_hull,
-    convexity_defect,
     data_from_parameters,
     disk,
-    distance_to_boundary,
-    enclosed_area,
     half_plane,
-    hausdorff_distance,
     identity_residuals,
-    log_derivative_curve,
-    lift,
-    log_derivative_setup,
-    omega_nested,
     oracle_samples,
-    q_value,
     region,
     schur_parameters,
     strip,
+)
+from schurvar.polynomials import lift, omega_nested
+from schurvar.regions import (
+    boundary_curve,
+    convex_hull,
+    convexity_defect,
+    distance_to_boundary,
+    enclosed_area,
+    hausdorff_distance,
+    log_derivative_curve,
+    log_derivative_setup,
+    q_value,
 )
 
 

@@ -12,12 +12,9 @@ from schurvar import (
     ContractViolation,
     build_polynomials,
     data_from_parameters,
-    eval_poly,
     identity_residuals,
-    lift,
-    omega_nested,
-    variability_disk,
 )
+from schurvar.polynomials import eval_poly, lift, omega_nested, variability_disk
 
 
 def disk_points(radius: float):

@@ -1,0 +1,75 @@
+"""The top-level names of the package, and where they come from."""
+
+import schurvar
+from schurvar import domains, errors, polynomials, quadrature, regions, schur
+
+PUBLIC = [
+    "__version__",
+    "SchurvarError",
+    "ContractViolation",
+    "DegenerateDenominator",
+    "QuadratureNonConvergence",
+    "GeometryDegenerate",
+    "BranchCutHit",
+    "CaratheodoryData",
+    "ToleranceConfig",
+    "SchurClassification",
+    "Interior",
+    "Boundary",
+    "Exterior",
+    "ExteriorReason",
+    "schur_parameters",
+    "data_from_parameters",
+    "SchurPolynomialSet",
+    "build_polynomials",
+    "identity_residuals",
+    "DomainMap",
+    "half_plane",
+    "disk",
+    "strip",
+    "parse_domain",
+    "RegionRequest",
+    "RegionResult",
+    "Empty",
+    "SinglePoint",
+    "Jordan",
+    "OracleSample",
+    "region",
+    "oracle_samples",
+    "contains",
+    "containment_depths",
+]
+MODULES = (errors, schur, polynomials, domains, quadrature, regions)
+
+
+def test_top_level_surface_is_pinned():
+    assert len(set(PUBLIC)) == 34
+    assert schurvar.__all__ == PUBLIC
+
+
+def test_top_level_is_the_union_of_the_module_surfaces():
+    union = set().union(*(module.__all__ for module in MODULES))
+    assert sum(len(module.__all__) for module in MODULES) == len(union)
+    assert set(schurvar.__all__) == {"__version__"} | union
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(schurvar, name) is getattr(module, name), name
+    assert isinstance(schurvar.__version__, str)
+
+
+def test_internals_stay_importable_from_their_modules():
+    for module, name in (
+        (quadrature, "integrate_segment"),
+        (regions, "integrand"),
+        (regions, "q_value"),
+        (regions, "boundary_curve"),
+        (regions, "hausdorff_distance"),
+        (polynomials, "lift"),
+        (polynomials, "eval_poly"),
+        (schur, "schur_step"),
+    ):
+        assert callable(getattr(module, name))
+        assert not hasattr(schurvar, name)

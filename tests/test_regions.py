@@ -18,28 +18,30 @@ from schurvar import (
     RegionRequest,
     SinglePoint,
     ToleranceConfig,
-    boundary_curve,
     build_polynomials,
     containment_depths,
     contains,
-    convex_hull,
-    convexity_defect,
     data_from_parameters,
     disk,
-    distance_to_boundary,
-    enclosed_area,
     half_plane,
-    hausdorff_distance,
-    integrand,
-    integrate_segment,
-    log_derivative_curve,
-    log_derivative_setup,
-    omega_nested,
     oracle_samples,
-    q_value,
     region,
     schur_parameters,
     strip,
+)
+from schurvar.polynomials import omega_nested
+from schurvar.quadrature import integrate_segment
+from schurvar.regions import (
+    boundary_curve,
+    convex_hull,
+    convexity_defect,
+    distance_to_boundary,
+    enclosed_area,
+    hausdorff_distance,
+    integrand,
+    log_derivative_curve,
+    log_derivative_setup,
+    q_value,
 )
 
 Z0 = 0.3
@@ -104,14 +106,6 @@ def test_integrand_broadcasts_epsilon_against_zeta():
     assert abs(out[1, 2] - single) < 1e-14
 
 
-def test_integrand_rejects_bad_weight_power():
-    s = build_polynomials((0.3,))
-    with pytest.raises(ContractViolation):
-        integrand(s, 0.5, -2, half_plane(), 0.1)
-    with pytest.raises(ContractViolation):
-        integrand(s, 0.5, 0.5, half_plane(), 0.1)
-
-
 # --------------------------------------------------------------------------
 # q values
 
@@ -134,12 +128,6 @@ def test_q_value_monomial_closed_form():
 def test_q_value_center_choice_is_zero_epsilon():
     s = build_polynomials((0.4,))
     assert abs(q_value(s, 0, Z0, 0.0, half_plane())) < 1e-14
-
-
-def test_q_value_rejects_large_epsilon():
-    s = build_polynomials((0.4,))
-    with pytest.raises(ContractViolation):
-        q_value(s, 0, Z0, 1.0 + 1e-6, half_plane())
 
 
 # --------------------------------------------------------------------------
@@ -325,12 +313,6 @@ def test_fallback_side_boundaries_cost_no_more_than_bisection_alone(monkeypatch)
         assert 0 < sum(points) <= bisection_points
     for s, j, z0, domain, values in curves[::7]:
         assert np.max(np.abs(values - direct_boundary(s, j, z0, domain, 1000))) < 1e-13
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
-def test_boundary_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(ContractViolation):
-        boundary_curve(build_polynomials((0.2,)), 0, 0.5, half_plane(), 64, tol)
 
 
 def test_boundary_below_the_spectral_count_is_integrated_directly():
@@ -655,6 +637,40 @@ def test_oracle_count_edge_cases():
     assert oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=0) == []
     with pytest.raises(ContractViolation):
         oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=-1)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        dict(j=-2),
+        dict(j=0.5),
+        dict(j=True),
+        dict(z0=0.0),
+        dict(z0=1.0),
+        dict(z0=complex(math.nan, 0.0)),
+        dict(quad_tol=0.0),
+        dict(quad_tol=-1e-10),
+        dict(quad_tol=math.inf),
+        dict(quad_tol=math.nan),
+    ],
+)
+def test_oracle_rejects_bad_input_before_integrating(monkeypatch, patch):
+    # the same checks as RegionRequest and ToleranceConfig, made before the
+    # first integrand call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrand(*args)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    good = dict(j=0, z0=Z0, quad_tol=1e-10)
+    oracle_samples((0.3,), half_plane(), seed=1, count=4, **good)
+    assert calls
+    calls.clear()
+    with pytest.raises(ContractViolation):
+        oracle_samples((0.3,), half_plane(), seed=1, count=4, **{**good, **patch})
+    assert calls == []
 
 
 def test_oracle_values_land_inside_the_sampled_region():

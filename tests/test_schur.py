@@ -17,9 +17,9 @@ from schurvar import (
     Interior,
     ToleranceConfig,
     data_from_parameters,
-    mobius,
     schur_parameters,
 )
+from schurvar.polynomials import mobius
 from schurvar.schur import schur_step
 
 
@@ -113,25 +113,6 @@ def test_step_zero_leading_coefficient_is_exact_left_shift():
 def test_step_shift_property(tail, q_tail):
     q = (1.0, *q_tail[: len(tail)])
     assert schur_step((0.0, *tail), q, 0.0) == (tuple(tail), q[:-1])
-
-
-def test_step_requires_gamma_to_match_first_entry():
-    with pytest.raises(ContractViolation):
-        schur_step((0.5, 0.375), (1.0, 0.0), 0.4)
-    with pytest.raises(ContractViolation):
-        schur_step((0.5, 0.375), (2.0, 0.0), 0.5)  # q[0] must be 1
-
-
-def test_step_requires_two_entries():
-    with pytest.raises(ContractViolation):
-        schur_step((0.5,), (1.0,), 0.5)
-    with pytest.raises(ContractViolation):
-        schur_step((0.5, 0.375), (1.0, 0.0, 0.0), 0.5)
-
-
-def test_step_rejects_non_contractive_gamma():
-    with pytest.raises(ContractViolation):
-        schur_step((1.0, 0.375), (1.0, 0.0), 1.0)
 
 
 # --------------------------------------------------------------------------
