@@ -816,6 +816,79 @@ def test_blocked_geometry_is_bit_identical_to_unblocked(shape, count):
         assert contains(v, q[0]) == bool(unblocked_depths(v, q[:1])[0] <= 1e-6)
 
 
+# Polygons over several edge blocks, with edge counts that are and are not a
+# multiple of the block size, for the pruned geometry.
+MULTI_BLOCK_POLYGONS = {
+    "ccw-4096": wobbly_polygon(4096),
+    "ccw-4099": wobbly_polygon(4099),
+    "cw-4096": wobbly_polygon(4096)[::-1].copy(),
+    "cw-4099": wobbly_polygon(4099)[::-1].copy(),
+    "repeated": np.repeat(wobbly_polygon(1000), [1, 3] * 500),  # zero-length edges
+}
+
+
+def probe_points(v):
+    """Centroid, vertices, edge midpoints, just and far outside, and draws."""
+    rng = np.random.default_rng(len(v))
+    centroid = np.mean(v)
+    mids = 0.5 * (v + np.roll(v, -1))[:: max(1, len(v) // 97)]
+    draws = 1.6 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+    return np.concatenate(
+        [
+            [centroid],
+            v[:: max(1, len(v) // 101)],
+            mids,
+            centroid + (1.0 + 1e-9) * (mids - centroid),
+            centroid + 3.0 * (mids - centroid),
+            draws,
+        ]
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(MULTI_BLOCK_POLYGONS))
+def test_pruned_geometry_is_bit_identical_on_multi_block_polygons(shape):
+    v = MULTI_BLOCK_POLYGONS[shape]
+    q = probe_points(v)
+    assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
+    assert np.array_equal(distance_to_boundary(v, q), unblocked_distances(v, q))
+    for w in q[:3]:  # the centroid, the worst case for pruning, and two vertices
+        assert contains(v, w) == bool(unblocked_depths(v, np.array([w]))[0] <= 1e-6)
+
+
+def test_geometry_keeps_non_finite_and_huge_queries():
+    # a NaN or infinite bound decides nothing: those queries take the full row
+    q = np.array([np.nan, np.inf, 1e200, -1e200j, complex(np.nan, 1.0), -np.inf, 0.1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for v in (MULTI_BLOCK_POLYGONS["ccw-4099"], GEOMETRY_POLYGONS["cw"]):
+            got = containment_depths(v, q)
+            assert np.array_equal(got, unblocked_depths(v, q), equal_nan=True)
+            got = distance_to_boundary(v, q)
+            assert np.array_equal(got, unblocked_distances(v, q), equal_nan=True)
+
+
+def test_pruned_containment_evaluates_few_pairs(monkeypatch):
+    # deterministic work counter: every (point, edge) value the exact formula
+    # computes, against the q * N of an unpruned pass
+    evaluated = []
+    row_minima = schurvar.regions._row_minima
+
+    def counting(queries, n_cols, fill, *rest):
+        def counted_fill(q, cols):
+            values = fill(q, cols)
+            evaluated.append(values.size)
+            return values
+
+        return row_minima(queries, n_cols, counted_fill, *rest)
+
+    monkeypatch.setattr(schurvar.regions, "_row_minima", counting)
+    n = 4096
+    v = wobbly_polygon(n)
+    rng = np.random.default_rng(3)
+    q = 0.5 * np.sqrt(rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
+    assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
+    assert 0 < sum(evaluated) <= 0.15 * len(q) * n
+
+
 def traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -835,6 +908,10 @@ def test_geometry_memory_does_not_grow_with_query_count():
     assert traced_peak_mb(containment_depths, v, q) < 16.0
     w = v * np.exp(1j * np.pi / n)
     assert traced_peak_mb(hausdorff_distance, v, w) < 16.0
+    # the CLI's --count cap: the per-block bounds are taken over query passes
+    q = 1.2 * np.sqrt(rng.random(10000)) * np.exp(2j * np.pi * rng.random(10000))
+    assert traced_peak_mb(containment_depths, v, q) < 16.0
+    assert traced_peak_mb(distance_to_boundary, v, q) < 16.0
 
 
 def test_enclosed_area_frozen_values():
