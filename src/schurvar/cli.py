@@ -106,14 +106,12 @@ def _load_input(path: str, domain_override: str | None) -> tuple[CaratheodoryDat
         payload = json.load(fh)
     if not isinstance(payload, dict) or "coefficients" not in payload:
         raise ValueError("input JSON must be an object with a 'coefficients' key")
-    raw = payload["coefficients"]
-    coeffs = []
-    for entry in raw:
-        re, im = entry
-        coeffs.append(complex(float(re), float(im)))
+    try:
+        coeffs = [complex(float(re), float(im)) for re, im in payload["coefficients"]]
+    except OverflowError:  # an integer too large for a float: JSON reads it exactly
+        raise ValueError("coefficient too large for a float") from None
     data = CaratheodoryData(tuple(coeffs))
-    label = domain_override or payload.get("domain", "half-plane")
-    return data, parse_domain(label)
+    return data, parse_domain(domain_override or payload.get("domain", "half-plane"))
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -246,6 +244,8 @@ def _random_parameters(rng: np.random.Generator, max_order: int, radius: float):
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 0:
+        raise ValueError(f"--draws must be non-negative, got {args.draws}")
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)
     for _ in range(args.draws):
@@ -270,7 +270,7 @@ def _parse_curve_csv(text: str):
     witness: complex | None = None
     for line in lines[1:]:
         if line.startswith("#"):
-            sidecar = json.loads(line[1:])
+            sidecar = json.loads(line[1:], parse_int=float)  # a huge integer is inf
             if "interior_witness" in sidecar:
                 re, im = sidecar["interior_witness"]
                 witness = _finite_point(float(re), float(im), line)
@@ -438,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     region_flags(p_sample)
     p_sample.add_argument("--count", type=int, default=100, help="number of draws")
     p_sample.add_argument("--seed", type=int, default=42, help="RNG seed")
-    # the membership polygon needs to hug the true curve much tighter than a
-    # plot does: at 4096 vertices the chord gap is far below geom_tol even
-    # for unit-size regions, so boundary-exact draws are never rejected
+    # 4096 vertices, tighter than a plot needs, still miss members near the
+    # circle: --count 10000 --seed 3 --j 0, gamma (0.3+0.2i, -0.4i, 0.5, 0.1-0.3i),
+    # half-plane: 9982 and 9872 inside at z0 0.9, 0.95 (ROADMAP: supporting lines)
     p_sample.set_defaults(handler=cmd_sample, samples=4096)
 
     p_verify = sub.add_parser("verify", help="run the polynomial-law suites")

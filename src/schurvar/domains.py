@@ -138,6 +138,8 @@ def strip() -> DomainMap:
 
 def parse_domain(label: str) -> DomainMap:
     """Build a domain from its label: ``half-plane``, ``strip``, ``disk:re,im,r``."""
+    if not isinstance(label, str):
+        raise ValueError(f"domain label must be a string, got {label!r}")
     text = label.strip()
     if text == "half-plane":
         return half_plane()

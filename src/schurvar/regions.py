@@ -21,7 +21,8 @@ classification:
 
 Everything here is a pure function of its inputs; batches over ``eps`` or
 over oracle samples share quadrature panels but are refined until every
-member meets the error budget.
+member meets the error budget.  The point at ``eps = 0`` is one more row
+of the first boundary batch, so it takes no integral of its own.
 
 A :class:`RegionRequest` is validated once, when it is built, and
 :func:`oracle_samples` checks its loose arguments the same way.  The
@@ -236,13 +237,15 @@ def _equispaced_values(
     domain: DomainMap,
     count: int,
     quad_tol: float,
+    witness: bool = False,
     shift: float = 0.0,
 ) -> np.ndarray:
-    """Extremal values at the ``count`` unimodular epsilons
-    ``exp(2 pi i (k + shift) / count)``, as one batch: shared panels,
-    refined until the worst member converges."""
-    eps_col = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))[:, None]
-    return q_value(set_, j, z0, eps_col, domain, quad_tol)
+    """Extremal values at the ``count`` epsilons ``exp(2 pi i (k + shift) /
+    count)``, and with ``witness`` at ``epsilon = 0`` as one more row, in one
+    batch: shared panels, refined until the worst member converges."""
+    eps = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))
+    rows = np.append(eps, 0.0) if witness else eps
+    return q_value(set_, j, z0, rows[:, None], domain, quad_tol)
 
 
 def boundary_curve(
@@ -252,34 +255,26 @@ def boundary_curve(
     domain: DomainMap,
     n_samples: int,
     quad_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All ``n_samples`` extremal values at equispaced unimodular epsilons.
+) -> Jordan:
+    """The region's :class:`Jordan`: the extremal values at ``n_samples``
+    equispaced unimodular epsilons, ``angles[k] = 2 pi k / n_samples``, and
+    the interior witness at ``epsilon = 0``.
 
-    Returns ``(angles, values)`` with ``angles[k] = 2 pi k / n_samples``.
-
-    The boundary value is a power series in ``epsilon`` that converges for
-    ``|epsilon| < 1 / |z0|``, so its coefficients decay at least like
-    ``|z0|^k``.  The values are integrated at ``M`` equispaced epsilons
-    only, starting from the smallest power of two ``M >= max(16,
-    log(quad_tol) / log|z0|)``; when the upper half of their discrete
-    Fourier spectrum is at most ``quad_tol``, the ``n_samples`` values are
-    one inverse FFT of it.  Otherwise ``M`` doubles, and only the ``M`` new
-    epsilons halfway between the old ones are integrated.  When ``M``
-    reaches a power-of-two ``n_samples`` these are the requested samples;
-    any other ``n_samples`` is resampled from the first ``M`` above it.
-    The cost therefore grows with ``M`` (32 at ``|z0| = 0.3``, 256 at 0.9
-    for the default tolerance), not with ``n_samples``.  A batch of a
-    subset of some epsilons never takes more quadrature points per epsilon
-    than all of them, so the doublings never cost more points than
-    integrating the last ``M`` at once (``n_samples`` itself when it is a
-    power of two).
-
-    The ``n_samples`` epsilons are integrated directly when the first ``M``
-    above ``n_samples`` fails the tail check too, or when a batch of
-    epsilons that are not all requested ones does not converge.  That
-    worst case costs the tries on top of the direct batch: 256 + 256 + 500
-    epsilons if order-0 data at ``|z0| = 0.9`` failed both tail checks for
-    500 samples.  The values agree with direct integration to rounding.
+    A boundary value is a power series in ``epsilon`` whose coefficients
+    decay like ``|z0|^k``.  The first batch integrates ``M`` equispaced
+    epsilons, the smallest power of two ``M >= max(16, log(quad_tol) /
+    log|z0|)`` or ``n_samples`` if fewer, and ``epsilon = 0`` as one more
+    row, so every path takes its witness from it.  When the upper half of
+    the values' discrete Fourier spectrum is at most ``quad_tol``, the
+    samples are one inverse FFT of it; otherwise ``M`` doubles, and only
+    the ``M`` epsilons halfway between the old ones are integrated.  A
+    power-of-two ``n_samples`` is reached exactly; any other is resampled
+    from the first ``M`` above it, or integrated directly, after the tries,
+    when that ``M`` fails too or a batch of unrequested epsilons does not
+    converge.  The cost follows ``M``, not ``n_samples``: no batch takes
+    more points per epsilon than a superset of it, so the doublings cost no
+    more than the last ``M`` at once.  The values agree with direct
+    integration to rounding.
 
     Requires an integer ``j >= -1``, ``0 < |z0| < 1``, ``n_samples >= 4``
     and a positive, finite ``quad_tol``: the fields of a valid
@@ -287,14 +282,13 @@ def boundary_curve(
     """
     angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
     decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
-    m = 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length()
-    if m >= n_samples:
-        return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
-    values = _equispaced_values(set_, j, z0, domain, m, quad_tol)
+    m = min(n_samples, 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length())
+    first = _equispaced_values(set_, j, z0, domain, m, quad_tol, True)  # and eps = 0
+    values, witness = first[:-1], complex(first[-1])
     while m != n_samples:
         resampled = _resampled(values, n_samples, quad_tol)
         if resampled is not None:
-            return angles, resampled
+            return Jordan(eps_angles=angles, boundary=resampled, interior_witness=witness)
         if m > n_samples:
             break
         try:
@@ -305,9 +299,9 @@ def boundary_curve(
             break
         values = np.column_stack((values, between)).ravel()
         m *= 2
-    if m == n_samples:
-        return angles, values
-    return angles, _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
+    if m != n_samples:
+        values = _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
+    return Jordan(eps_angles=angles, boundary=values, interior_witness=witness)
 
 
 def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):
@@ -364,8 +358,9 @@ def region(request: RegionRequest) -> RegionResult:
     """Compute the variability region for a fully specified request.
 
     Dispatches on the classification of the data: Empty for exterior,
-    SinglePoint for boundary, and a sampled Jordan curve (with the
-    ``eps = 0`` interior witness) for interior data.
+    SinglePoint for boundary, and for interior data the Jordan of
+    :func:`boundary_curve` (sampled curve and ``eps = 0`` interior
+    witness), once its polygon is checked to be a simple convex loop.
     """
     cls = schur_parameters(request.data, request.tol)
     quad_tol = request.tol.quad_tol
@@ -380,16 +375,22 @@ def region(request: RegionRequest) -> RegionResult:
         return SinglePoint(w0=complex(w0))
     assert isinstance(cls, Interior)
     set_ = build_polynomials(cls.gamma)
-    angles, values = boundary_curve(
+    jordan = boundary_curve(
         set_, request.j, request.z0, request.domain, request.samples, quad_tol
     )
-    witness = q_value(set_, request.j, request.z0, 0.0, request.domain, quad_tol)
-    _validate_polygon(values, request.tol.geom_tol)
-    return Jordan(eps_angles=angles, boundary=values, interior_witness=complex(witness))
+    _validate_polygon(jordan.boundary, request.tol.geom_tol)
+    return jordan
 
 
 # --------------------------------------------------------------------------
 # closed-form cross-check: bounded derivative quotients over convex maps
+
+
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not (0.0 <= lam < 1.0):
+        raise ContractViolation("lam must lie in [0, 1)")
+    return lam
 
 
 def log_derivative_curve(lam: float, z0: complex, theta):
@@ -409,9 +410,7 @@ def log_derivative_curve(lam: float, z0: complex, theta):
     scalar or an array; for ``lam = 0`` the curve collapses to
     ``-log(1 - e^{i theta} z0^2)``.
     """
-    lam = float(lam)
-    if not (0.0 <= lam < 1.0):
-        raise ContractViolation("lam must lie in [0, 1)")
+    lam = _check_lam(lam)
     z0 = _check_endpoint(z0)
     th = np.asarray(theta, dtype=np.float64)
     scalar = th.ndim == 0
@@ -441,9 +440,7 @@ def log_derivative_setup(lam: float) -> tuple[DomainMap, CaratheodoryData, int]:
     traced by ``q_value`` over unimodular epsilons for this triple equals
     the closed-form curve at the same angles.
     """
-    lam = float(lam)
-    if not (0.0 <= lam < 1.0):
-        raise ContractViolation("lam must lie in [0, 1)")
+    lam = _check_lam(lam)
     return half_plane(), CaratheodoryData((0.0 + 0.0j, complex(lam))), -1
 
 

@@ -147,7 +147,8 @@ def test_criterion_05_closed_form_curve_cross_validation():
         cls = schur_parameters(data)
         s = build_polynomials(cls.gamma)
         for z0 in (0.3, 0.6):
-            angles, machinery = boundary_curve(s, j, z0, domain, 512)
+            curve = boundary_curve(s, j, z0, domain, 512)
+            angles, machinery = curve.eps_angles, curve.boundary
             closed = log_derivative_curve(lam, z0, angles)
             worst = max(worst, hausdorff_distance(machinery, closed))
     elapsed = time.perf_counter() - start
@@ -227,8 +228,8 @@ def test_criterion_09_refinement_stability():
     for gamma, dom, j, z0, coarse in configs:
         s = build_polynomials(gamma)
         if coarse is None:
-            _, coarse = boundary_curve(s, j, z0, dom, 512)
-        _, fine = boundary_curve(s, j, z0, dom, 1024)
+            coarse = boundary_curve(s, j, z0, dom, 512).boundary
+        fine = boundary_curve(s, j, z0, dom, 1024).boundary
         worst_sample = max(worst_sample, float(np.max(np.abs(fine[::2] - coarse))))
         area_c, area_f = enclosed_area(coarse), enclosed_area(fine)
         worst_area = max(worst_area, abs(area_f - area_c) / abs(area_c))

@@ -100,6 +100,16 @@ def test_missing_coefficients_key(capsys, write_json):
     assert code == 2
 
 
+def test_coefficient_too_large_for_a_float(capsys, tmp_path):
+    # JSON reads a 400-digit integer exactly; it overflows only as a float
+    path = tmp_path / "big.json"
+    path.write_text('{"coefficients": [[' + "9" * 400 + ", 0]]}")
+    code = main(["classify", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
 def test_bad_z0_values(capsys, write_json):
     path = write_json(INTERIOR)
     for z0 in ("abc", "0", "1.2", "0.5+0.9j", "nan", "inf", "0.1+nanj"):
@@ -126,6 +136,14 @@ def test_bad_domain_label(capsys, write_json):
         ["boundary", "--input", path, "--z0", "0.3", "--domain", "banana"],
     )
     assert code == 2
+    # a label in the input file that is not a string
+    for label in (5, None):
+        path = write_json({**INTERIOR, "domain": label})
+        for argv in (["classify"], ["boundary", "--z0", "0.3"]):
+            code = main([*argv, "--input", path])
+            err = capsys.readouterr().err
+            assert code == 2, (label, argv)
+            assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
 def test_bad_weight_power(capsys, write_json):
@@ -341,6 +359,14 @@ def test_verify_reports_all_laws(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_refuses_a_negative_draw_count(capsys):
+    code = main(["verify", "--draws", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+
+
 def test_verify_is_deterministic(capsys):
     _, first = run(capsys, ["verify", "--seed", "9", "--draws", "10"])
     _, second = run(capsys, ["verify", "--seed", "9", "--draws", "10"])
@@ -402,6 +428,16 @@ def test_plot_rejects_malformed_rows(tmp_path, capsys):
         capsys, ["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")]
     )
     assert code == 2
+
+
+def test_plot_rejects_a_witness_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    sidecar = '# {"interior_witness": [' + "9" * 400 + ", 0]}"
+    path.write_text("theta,re,im\n0,0.0,0.0\n1,1.0,0.0\n2,0.0,1.0\n" + sidecar + "\n")
+    code = main(["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
 def test_plot_missing_input(tmp_path, capsys):

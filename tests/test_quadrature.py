@@ -65,9 +65,10 @@ def test_pole_just_outside_the_disk_is_accepted_in_one_call(radius):
         assert len(calls) == 1
 
 
-# The one integrand call of each boundary: (epsilons, nodes).  Bisection
-# took three calls of 15 nodes, 45 nodes per epsilon, at every radius.
-NODES_PER_EPSILON = {0.3: (32, 13), 0.55: (64, 20), 0.7: (128, 25), 0.85: (256, 38)}
+# The one integrand call of each boundary: (epsilons, nodes), the a-priori
+# M unimodular epsilons and the witness at epsilon = 0.  Bisection took
+# three calls of 15 nodes, 45 nodes per epsilon, at every radius.
+NODES_PER_EPSILON = {0.3: (33, 13), 0.55: (65, 20), 0.7: (129, 25), 0.85: (257, 38)}
 
 
 @pytest.mark.parametrize("radius", sorted(NODES_PER_EPSILON))

@@ -136,14 +136,16 @@ def test_q_value_center_choice_is_zero_epsilon():
 
 def test_boundary_angles_are_equispaced_from_zero():
     s = build_polynomials((0.0, 0.5))
-    angles, values = boundary_curve(s, -1, Z0, half_plane(), 16)
+    curve = boundary_curve(s, -1, Z0, half_plane(), 16)
+    angles, values = curve.eps_angles, curve.boundary
     assert np.array_equal(angles, 2.0 * np.pi * np.arange(16) / 16)
     assert values.shape == (16,)
 
 
 def test_boundary_matches_pointwise_q_values():
     s = build_polynomials((0.2, -0.3j, 0.1))
-    angles, values = boundary_curve(s, 0, 0.4, strip(), 8)
+    curve = boundary_curve(s, 0, 0.4, strip(), 8)
+    angles, values = curve.eps_angles, curve.boundary
     for theta, w in zip(angles, values):
         single = q_value(s, 0, 0.4, complex(np.exp(1j * theta)), strip())
         assert abs(w - single) < 1e-12
@@ -151,7 +153,8 @@ def test_boundary_matches_pointwise_q_values():
 
 def test_boundary_closed_form_for_flat_data():
     s = build_polynomials((0.0, 0.0))
-    angles, values = boundary_curve(s, -1, Z0, half_plane(), 64)
+    curve = boundary_curve(s, -1, Z0, half_plane(), 64)
+    angles, values = curve.eps_angles, curve.boundary
     want = -np.log(1.0 - np.exp(1j * angles) * Z0**2)
     assert np.max(np.abs(values - want)) < 1e-10
 
@@ -178,7 +181,8 @@ def test_spectral_boundary_matches_direct_integration(label, radius, n):
     z0 = radius * np.exp(0.7j)
     for j in (-1, 0, 2):
         # the a-priori M (512 at |z0| = 0.95) stays below N
-        angles, values = boundary_curve(s, j, z0, domain, n)
+        curve = boundary_curve(s, j, z0, domain, n)
+        angles, values = curve.eps_angles, curve.boundary
         assert np.array_equal(angles, 2.0 * np.pi * (np.arange(n) / n))
         want = direct_boundary(s, j, z0, domain, n)
         assert np.max(np.abs(values - want)) < 1e-13
@@ -215,22 +219,25 @@ def test_spectral_boundary_doubles_until_the_tail_is_small(monkeypatch):
     # doubling integrates only the 32 epsilons between the first ones
     batches = spy_on_batches(monkeypatch)
     s = build_polynomials((0.0,))
-    _, values = boundary_curve(s, 0, 0.3, half_plane(), 4096)
+    values = boundary_curve(s, 0, 0.3, half_plane(), 4096).boundary
     assert batches == [(32, 0.0), (32, 0.5)]
     assert np.max(np.abs(values - direct_boundary(s, 0, 0.3, half_plane(), 4096))) < 1e-13
 
 
 def test_boundary_whose_spectrum_needs_all_samples_costs_no_more_than_direct(monkeypatch):
     # order 0 at |z0| = 0.9: the tail of the a-priori 256 is ~2e-8, so the
-    # 256 epsilons in between complete the 512 requested ones
+    # 256 epsilons in between complete the 512 requested ones; with the
+    # witness row they cost no more than the direct 512 and a separate
+    # witness integral
     points = count_points(monkeypatch)
     batches = spy_on_batches(monkeypatch)
     s = build_polynomials((0.0,))
-    _, values = boundary_curve(s, 0, 0.9, half_plane(), 512)
+    values = boundary_curve(s, 0, 0.9, half_plane(), 512).boundary
     assert batches == [(256, 0.0), (256, 0.5)]
     spent = sum(points)
     points.clear()
     want = schurvar.regions._equispaced_values(s, 0, 0.9, half_plane(), 512, 1e-10)
+    q_value(s, 0, 0.9, 0.0, half_plane())
     assert 0 < spent <= sum(points)
     assert np.max(np.abs(values - want)) < 1e-13
 
@@ -243,7 +250,7 @@ def test_boundary_whose_spectrum_fails_below_other_counts_reuses_its_tries(monke
     points = count_points(monkeypatch)
     batches = spy_on_batches(monkeypatch)
     s = build_polynomials((0.5,))
-    _, values = boundary_curve(s, 0, 0.93, half_plane(), 1000)
+    values = boundary_curve(s, 0, 0.93, half_plane(), 1000).boundary
     assert batches == [(512, 0.0), (512, 0.5)]
     spent = sum(points)
     points.clear()
@@ -252,11 +259,15 @@ def test_boundary_whose_spectrum_fails_below_other_counts_reuses_its_tries(monke
     points.clear()
     schurvar.regions._equispaced_values(s, 0, 0.93, half_plane(), 512, 1e-10)
     first = sum(points)
-    # 1024 epsilons, none at a higher cost per epsilon than the direct 1000
-    # (so in total up to 2.4 % above them), and fewer points than the first
-    # try followed by the direct batch
-    assert 0 < spent * 1000 <= direct * 1024
-    assert spent < first + direct
+    points.clear()
+    q_value(s, 0, 0.93, 0.0, half_plane())
+    witness = sum(points)
+    # 1025 epsilons (1024 and the witness), none at a higher cost per
+    # epsilon than the direct 1000 (so in total up to 2.5 % above them),
+    # and fewer points than the first try followed by the direct batch and
+    # a separate witness integral
+    assert 0 < spent * 1000 <= direct * 1025
+    assert spent < first + direct + witness
     assert np.max(np.abs(values - want)) < 1e-13
 
 
@@ -264,7 +275,7 @@ def test_boundary_whose_tries_never_pass_is_integrated_directly(monkeypatch):
     batches = spy_on_batches(monkeypatch)
     monkeypatch.setattr(schurvar.regions, "_resampled", lambda *args: None)
     s = build_polynomials((0.0,))
-    _, values = boundary_curve(s, 0, 0.9, half_plane(), 500)
+    values = boundary_curve(s, 0, 0.9, half_plane(), 500).boundary
     assert batches == [(256, 0.0), (256, 0.5), (500, 0.0)]
     assert np.array_equal(values, direct_boundary(s, 0, 0.9, half_plane(), 500))
 
@@ -275,7 +286,7 @@ def test_boundary_whose_tries_do_not_converge_is_integrated_directly(monkeypatch
     # bisection's rounding floor, and the 768 requested ones converge
     batches = spy_on_batches(monkeypatch)
     s = build_polynomials((0.993,))
-    _, values = boundary_curve(s, -1, 0.914, half_plane(), 768)
+    values = boundary_curve(s, -1, 0.914, half_plane(), 768).boundary
     assert batches == [(512, 0.0), (512, 0.5), (768, 0.0)]
     assert np.array_equal(values, direct_boundary(s, -1, 0.914, half_plane(), 768))
 
@@ -308,7 +319,7 @@ def test_fallback_side_boundaries_cost_no_more_than_bisection_alone(monkeypatch)
                 for j in (-1, 2):
                     s = build_polynomials(gamma)
                     z0 = radius * np.exp(0.7j)
-                    values = boundary_curve(s, j, z0, domain, 1000)[1]
+                    values = boundary_curve(s, j, z0, domain, 1000).boundary
                     curves.append((s, j, z0, domain, values))
         assert 0 < sum(points) <= bisection_points
     for s, j, z0, domain, values in curves[::7]:
@@ -317,7 +328,7 @@ def test_fallback_side_boundaries_cost_no_more_than_bisection_alone(monkeypatch)
 
 def test_boundary_below_the_spectral_count_is_integrated_directly():
     s = build_polynomials((0.2, -0.3j, 0.1))
-    _, values = boundary_curve(s, 2, 0.5, disk(0.1, 2.0), 8)
+    values = boundary_curve(s, 2, 0.5, disk(0.1, 2.0), 8).boundary
     assert np.array_equal(values, direct_boundary(s, 2, 0.5, disk(0.1, 2.0), 8))
 
 
@@ -330,6 +341,47 @@ def test_boundary_cost_does_not_grow_with_sample_count(monkeypatch):
         boundary_curve(s, -1, 0.5j, half_plane(), n)
         totals.append(sum(points))
     assert totals[0] == totals[1] > 0
+
+
+# The interior witness is the last row of boundary_curve's first batch, so
+# on every path it must equal a separate epsilon = 0 integral to rounding.
+
+
+def assert_witness_is_the_zero_epsilon_integral(curve, s, j, z0, domain):
+    want = q_value(s, j, z0, 0.0, domain, 1e-10)
+    assert abs(curve.interior_witness - want) <= 4e-16 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.7, 0.95])
+@pytest.mark.parametrize("label", sorted(SPECTRAL_DOMAINS))
+def test_witness_matches_the_zero_epsilon_integral(label, radius):
+    # spectral tries at 0.3 and 0.7; at 0.95 the a-priori order is above the
+    # rule pair's cap, so every batch bisects
+    domain = SPECTRAL_DOMAINS[label]
+    s = build_polynomials((0.3 + 0.2j, -0.4j, 0.5, 0.1 - 0.3j, 0.2))
+    z0 = radius * np.exp(0.7j)
+    for j in (-1, 0, 2):
+        curve = boundary_curve(s, j, z0, domain, 512)
+        assert_witness_is_the_zero_epsilon_integral(curve, s, j, z0, domain)
+
+
+def test_witness_of_a_boundary_below_the_spectral_count(monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    s = build_polynomials((0.2, -0.3j, 0.1))
+    curve = boundary_curve(s, 2, 0.5, disk(0.1, 2.0), 8)
+    assert batches == [(8, 0.0)]
+    assert_witness_is_the_zero_epsilon_integral(curve, s, 2, 0.5, disk(0.1, 2.0))
+
+
+@pytest.mark.parametrize("gamma", [(0.0,), (0.3 + 0.2j, -0.4j)])
+def test_witness_of_a_boundary_whose_tries_never_pass(monkeypatch, gamma):
+    # the witness comes from the first try, not from the direct batch
+    batches = spy_on_batches(monkeypatch)
+    monkeypatch.setattr(schurvar.regions, "_resampled", lambda *args: None)
+    s = build_polynomials(gamma)
+    curve = boundary_curve(s, 0, 0.9, half_plane(), 500)
+    assert batches == [(256, 0.0), (256, 0.5), (500, 0.0)]
+    assert_witness_is_the_zero_epsilon_integral(curve, s, 0, 0.9, half_plane())
 
 
 # Interior data whose region is large: P(gamma_0) is near 2000 on the
@@ -369,7 +421,8 @@ def mp_boundary_value(mp, gamma, eps, j, z0):
 @pytest.mark.parametrize("gamma, j, z0", LARGE_REGIONS)
 def test_boundary_of_a_large_region_converges(gamma, j, z0):
     s = build_polynomials(gamma)
-    angles, values = boundary_curve(s, j, z0, half_plane(), 512)
+    curve = boundary_curve(s, j, z0, half_plane(), 512)
+    angles, values = curve.eps_angles, curve.boundary
     assert np.all(np.isfinite(values))
     assert np.max(np.abs(values)) > 300.0
     mp = pytest.importorskip("mpmath")
@@ -512,6 +565,14 @@ def test_region_witness_lies_strictly_inside():
         assert depth < 0.0
 
 
+def test_interior_region_makes_one_integrand_call(monkeypatch):
+    # |z0| = 0.5 takes one rule pair, and the witness rides in its batch
+    points = count_points(monkeypatch)
+    req = RegionRequest.from_gamma((0.3, -0.2 + 0.1j, 0.25j), j=0, z0=0.5, domain=strip())
+    assert isinstance(region(req), Jordan)
+    assert len(points) == 1
+
+
 # --------------------------------------------------------------------------
 # closed-form cross-check curve
 
@@ -567,8 +628,11 @@ def test_setup_matches_curve_through_general_machinery():
 
 
 def test_setup_validates_lambda():
-    with pytest.raises(ContractViolation):
-        log_derivative_setup(1.0)
+    # the same check and message as the curve's
+    for call in (log_derivative_setup, lambda lam: log_derivative_curve(lam, 0.3, 0.0)):
+        for lam in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ContractViolation, match=r"^lam must lie in \[0, 1\)$"):
+                call(lam)
 
 
 # --------------------------------------------------------------------------
