@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 property failure (verify), 2 malformed input,
 3 classification mismatch (region commands on non-interior data),
 4 numerical failure (quadrature or geometry).  ``--samples`` is capped
 at ``MAX_SAMPLES`` and ``--count`` at ``MAX_COUNT``, so that no request can
-exhaust memory; larger values exit 2.  All output is
+exhaust memory; larger values, and a negative ``--count`` or ``--draws``,
+exit 2 before anything is computed.  All output is
 deterministic for fixed input bytes, flags, and seed.
 
 Complex values serialize as two-element ``[re, im]`` arrays in JSON and
@@ -101,13 +102,20 @@ def _pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"coefficients must be JSON numbers, got {type(value).__name__}")
+    return float(value)
+
+
 def _load_input(path: str, domain_override: str | None) -> tuple[CaratheodoryData, DomainMap]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "coefficients" not in payload:
         raise ValueError("input JSON must be an object with a 'coefficients' key")
     try:
-        coeffs = [complex(float(re), float(im)) for re, im in payload["coefficients"]]
+        coeffs = [complex(_number(re), _number(im)) for re, im in payload["coefficients"]]
     except OverflowError:  # an integer too large for a float: JSON reads it exactly
         raise ValueError("coefficient too large for a float") from None
     data = CaratheodoryData(tuple(coeffs))
@@ -160,13 +168,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _at_most(flag: str, value: int, cap: int) -> None:
+def _check_size(flag: str, value: int, cap: float = math.inf, least: float = 0) -> None:
+    """Refuse a size flag outside [least, cap] before anything is computed
+    (``--samples`` has no least here: RegionRequest needs 4 and says so)."""
+    if value < least:
+        raise ValueError(f"{flag} must be non-negative, got {value}")
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
 
 
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
-    _at_most("--samples", args.samples, MAX_SAMPLES)
+    _check_size("--samples", args.samples, MAX_SAMPLES, least=-math.inf)
     data, domain = _load_input(args.input, args.domain)
     tol = _tolerances(args)
     cls = schur_parameters(data, tol)
@@ -209,7 +221,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _at_most("--count", args.count, MAX_COUNT)
+    _check_size("--count", args.count, MAX_COUNT)
     request, cls = _interior_request(args)
     payload: dict[str, object]
     if args.count == 0:
@@ -244,8 +256,7 @@ def _random_parameters(rng: np.random.Generator, max_order: int, radius: float):
 
 
 def cmd_verify(args) -> int:
-    if args.draws < 0:
-        raise ValueError(f"--draws must be non-negative, got {args.draws}")
+    _check_size("--draws", args.draws)
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)
     for _ in range(args.draws):

@@ -47,13 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateDenominator
+from .errors import ContractViolation
 from .schur import check_parameters
 
 __all__ = ["SchurPolynomialSet", "build_polynomials", "identity_residuals"]
 
-#: Denominators smaller than this are treated as exact zeros.
-_DENOM_FLOOR = 1e-300
 #: The polar grid of :func:`identity_residuals`: three radii, the last on
 #: the circle, times 64 equispaced angles.
 _RESIDUAL_RADII = (0.3, 0.7, 1.0)
@@ -166,40 +164,6 @@ def lift(set_: SchurPolynomialSet, w_star, z):
     """
     av, bv, cv, dv = eval_poly(set_.lift_rows, z)
     return (w_star * cv + dv) / (z * w_star * av + bv)
-
-
-def mobius(a, z):
-    """Evaluate ``sigma_a(z) = (z + a) / (1 + conj(a) z)``.
-
-    ``a`` must be finite with ``|a| < 1``; ``z`` may be a complex scalar or a
-    numpy array.  Raises DegenerateDenominator if the denominator falls
-    below 1e-300 in modulus (unreachable for ``|z| <= 1``).
-    """
-    a = complex(a)
-    if not abs(a) < 1.0:  # also rejects NaN
-        raise ContractViolation(f"mobius parameter must have |a| < 1, got |a| = {abs(a)}")
-    den = 1.0 + a.conjugate() * z
-    if np.min(np.abs(den)) < _DENOM_FLOOR:
-        raise DegenerateDenominator("mobius denominator 1 + conj(a) z vanished")
-    return (z + a) / den
-
-
-def omega_nested(gamma: Sequence[complex], epsilon, z):
-    """Interpolant in nested automorphism form.
-
-    Computes ``sigma_{gamma_0}(z sigma_{gamma_1}(... z sigma_{gamma_n}(eps z) ...))``.
-    An empty parameter sequence yields ``eps * z`` (no peeling layers); this
-    degenerate case is what the unique-interpolant formula for boundary data
-    with a unimodular leading coefficient reduces to.  ``z`` may be a scalar
-    or a numpy array.
-    """
-    gams = tuple(complex(g) for g in gamma)
-    w = epsilon * z
-    for k in range(len(gams) - 1, -1, -1):
-        w = mobius(gams[k], w)
-        if k > 0:
-            w = z * w
-    return w
 
 
 @dataclass(frozen=True)

@@ -714,90 +714,6 @@ def contains(result, w, geom_tol: float = 1e-6) -> bool:
     return bool(depth <= geom_tol)
 
 
-def convex_hull(points) -> np.ndarray:
-    """Indices of the convex hull of complex points, counterclockwise.
-
-    Monotone chain; collinear points on hull edges are dropped.
-    """
-    pts = np.asarray(points, dtype=np.complex128)
-    order = np.lexsort((pts.imag, pts.real))
-
-    def half(indices):
-        chain: list[int] = []
-        for idx in indices:
-            while len(chain) >= 2:
-                a, b = pts[chain[-2]], pts[chain[-1]]
-                if np.imag(np.conjugate(b - a) * (pts[idx] - a)) <= 0.0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(int(idx))
-        return chain
-
-    lower = half(order)
-    upper = half(order[::-1])
-    return np.array(lower[:-1] + upper[:-1], dtype=int)
-
-
-def distance_to_boundary(boundary, queries) -> np.ndarray:
-    """Distance from each query point to a closed polyline.
-
-    Pruned like :func:`containment_depths`, with the disk about each block's
-    middle vertex that holds the block as its bound; bit-identical to the
-    full q * N pass.  A query near the polyline evaluates one or two blocks
-    of ``_EDGE_BLOCK`` segments; memory is O(N) plus one bound matrix of at
-    most ``_BOUND_ELEMENTS`` entries per pass of queries.
-    """
-    v = np.asarray(boundary, dtype=np.complex128)
-    if v.ndim != 1 or len(v) == 0:
-        raise ContractViolation("polyline needs at least one point in curve order")
-    q = np.atleast_1d(np.asarray(queries, dtype=np.complex128))
-    d = np.roll(v, -1) - v
-    conj_d = np.conjugate(d)
-    length_sq = np.abs(d) ** 2
-    safe = np.where(length_sq > 0.0, length_sq, 1.0)
-
-    def fill(qb, cols):
-        work = np.multiply(conj_d[None, cols], np.subtract(qb[:, None], v[None, cols]))
-        dist = np.divide(work.real, safe[None, cols])  # segment parameter t
-        np.clip(dist, 0.0, 1.0, out=dist)
-        # nearest point of each segment
-        work = np.add(v[None, cols], np.multiply(dist, d[None, cols]))
-        return np.abs(np.subtract(qb[:, None], work))
-
-    # a block's segments lie in the disk about its middle vertex that holds
-    # its vertices and the next block's first one
-    starts, counts, middles = _blocks(len(v))
-    radii = np.maximum(
-        np.maximum.reduceat(np.abs(v - np.repeat(v[middles], counts)), starts),
-        np.abs(v[(starts + counts) % len(v)] - v[middles]),
-    )
-    offset = v[middles] - np.mean(v)
-
-    def bounds(u):
-        near = np.abs(u - offset[:, None])
-        return near, near - radii[:, None]
-
-    return _row_minima(q, len(v), fill, bounds, v)
-
-
-def hausdorff_distance(curve_a, curve_b) -> float:
-    """Symmetric Hausdorff distance between two sampled closed curves.
-
-    Each point set is compared against the other's closed polyline, so two
-    samplings of the same curve at different parametrizations agree to the
-    chord deviation rather than the sample spacing.  Two calls of
-    :func:`distance_to_boundary`: for nearby curves of N and M points the
-    bounds cost O(N * M / ``_EDGE_BLOCK``) and each point evaluates a few
-    blocks exactly; memory does not grow with N * M.
-    """
-    a = np.asarray(curve_a, dtype=np.complex128)
-    b = np.asarray(curve_b, dtype=np.complex128)
-    forward = distance_to_boundary(b, a)
-    backward = distance_to_boundary(a, b)
-    return float(max(np.max(forward), np.max(backward)))
-
-
 def enclosed_area(boundary) -> float:
     """Signed area enclosed by equispaced samples of a closed curve.
 

@@ -1,0 +1,110 @@
+"""Independent reference forms that the tests check the package against.
+
+None of these is part of the product: the nested Möbius form of the
+interpolant, the convex hull, the point-to-polyline distance and the
+Hausdorff distance only cross-check the regions and interpolants that
+``schurvar`` computes.  The distance is the plain formula over the whole
+(queries x segments) matrix, so its memory grows with their product: keep
+its inputs to a few thousand points a side.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from schurvar.errors import ContractViolation, DegenerateDenominator
+
+#: Denominators smaller than this are treated as exact zeros.
+_DENOM_FLOOR = 1e-300
+
+
+def mobius(a, z):
+    """Evaluate ``sigma_a(z) = (z + a) / (1 + conj(a) z)``.
+
+    ``a`` must be finite with ``|a| < 1``; ``z`` may be a complex scalar or a
+    numpy array.  Raises DegenerateDenominator if the denominator falls
+    below 1e-300 in modulus (unreachable for ``|z| <= 1``).
+    """
+    a = complex(a)
+    if not abs(a) < 1.0:  # also rejects NaN
+        raise ContractViolation(f"mobius parameter must have |a| < 1, got |a| = {abs(a)}")
+    den = 1.0 + a.conjugate() * z
+    if np.min(np.abs(den)) < _DENOM_FLOOR:
+        raise DegenerateDenominator("mobius denominator 1 + conj(a) z vanished")
+    return (z + a) / den
+
+
+def omega_nested(gamma: Sequence[complex], epsilon, z):
+    """Interpolant in nested automorphism form.
+
+    Computes ``sigma_{gamma_0}(z sigma_{gamma_1}(... z sigma_{gamma_n}(eps z) ...))``.
+    An empty parameter sequence yields ``eps * z`` (no peeling layers); this
+    degenerate case is what the unique-interpolant formula for boundary data
+    with a unimodular leading coefficient reduces to.  ``z`` may be a scalar
+    or a numpy array.
+    """
+    gams = tuple(complex(g) for g in gamma)
+    w = epsilon * z
+    for k in range(len(gams) - 1, -1, -1):
+        w = mobius(gams[k], w)
+        if k > 0:
+            w = z * w
+    return w
+
+
+def convex_hull(points) -> np.ndarray:
+    """Indices of the convex hull of complex points, counterclockwise.
+
+    Monotone chain; collinear points on hull edges are dropped.
+    """
+    pts = np.asarray(points, dtype=np.complex128)
+    order = np.lexsort((pts.imag, pts.real))
+
+    def half(indices):
+        chain: list[int] = []
+        for idx in indices:
+            while len(chain) >= 2:
+                a, b = pts[chain[-2]], pts[chain[-1]]
+                if np.imag(np.conjugate(b - a) * (pts[idx] - a)) <= 0.0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(int(idx))
+        return chain
+
+    lower = half(order)
+    upper = half(order[::-1])
+    return np.array(lower[:-1] + upper[:-1], dtype=int)
+
+
+def distance_to_boundary(boundary, queries) -> np.ndarray:
+    """Distance from each query point to a closed polyline.
+
+    Projects every query onto every segment, clamped to its ends (a
+    zero-length segment is its vertex), and takes each query's nearest.
+    """
+    v = np.asarray(boundary, dtype=np.complex128)
+    if v.ndim != 1 or len(v) == 0:
+        raise ContractViolation("polyline needs at least one point in curve order")
+    q = np.atleast_1d(np.asarray(queries, dtype=np.complex128))
+    d = np.roll(v, -1) - v
+    length_sq = np.abs(d) ** 2
+    safe = np.where(length_sq > 0.0, length_sq, 1.0)
+    t = np.real(np.conjugate(d)[None, :] * (q[:, None] - v[None, :])) / safe[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    proj = v[None, :] + t * d[None, :]
+    return np.min(np.abs(q[:, None] - proj), axis=1)
+
+
+def hausdorff_distance(curve_a, curve_b) -> float:
+    """Symmetric Hausdorff distance between two sampled closed curves.
+
+    Each point set is compared against the other's closed polyline, so two
+    samplings of the same curve at different parametrizations agree to the
+    chord deviation rather than the sample spacing.
+    """
+    a = np.asarray(curve_a, dtype=np.complex128)
+    b = np.asarray(curve_b, dtype=np.complex128)
+    forward = distance_to_boundary(b, a)
+    backward = distance_to_boundary(a, b)
+    return float(max(np.max(forward), np.max(backward)))

@@ -28,18 +28,17 @@ from schurvar import (
     schur_parameters,
     strip,
 )
-from schurvar.polynomials import lift, omega_nested
+from schurvar.polynomials import lift
 from schurvar.regions import (
     boundary_curve,
-    convex_hull,
     convexity_defect,
-    distance_to_boundary,
     enclosed_area,
-    hausdorff_distance,
     log_derivative_curve,
     log_derivative_setup,
     q_value,
 )
+
+from oracles import convex_hull, distance_to_boundary, hausdorff_distance, omega_nested
 
 
 def draw_gamma(rng, max_order, radius):

@@ -88,11 +88,20 @@ def test_missing_input_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_malformed_json(capsys, tmp_path):
+def test_malformed_json(capsys, tmp_path, write_json):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     code, _ = run(capsys, ["classify", "--input", str(path)])
     assert code == 2
+    # booleans and numeric strings are not the schema's numbers; integers are
+    for coefficients in ([[True, False]], [["0.5", "1e-1"]]):
+        code = main(["classify", "--input", write_json({"coefficients": coefficients})])
+        err = capsys.readouterr().err
+        assert code == 2, coefficients
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+    code, out = run(capsys, ["classify", "--input", write_json({"coefficients": [[0, 0]]})])
+    assert code == 0
+    assert json.loads(out)["gamma"] == [[0.0, 0.0]]
 
 
 def test_missing_coefficients_key(capsys, write_json):
@@ -295,6 +304,7 @@ def refuse(*args, **kwargs):
         ("boundary", "--samples", MAX_SAMPLES + 1),
         ("sample", "--samples", 10**10),
         ("sample", "--count", MAX_COUNT + 1),
+        ("sample", "--count", -1),
     ],
 )
 def test_sizes_above_their_caps_are_refused_before_computing(

@@ -14,7 +14,9 @@ from schurvar import (
     data_from_parameters,
     identity_residuals,
 )
-from schurvar.polynomials import eval_poly, lift, omega_nested, variability_disk
+from schurvar.polynomials import eval_poly, lift, variability_disk
+
+from oracles import omega_nested
 
 
 def disk_points(radius: float):

@@ -66,7 +66,6 @@ def test_internals_stay_importable_from_their_modules():
         (regions, "integrand"),
         (regions, "q_value"),
         (regions, "boundary_curve"),
-        (regions, "hausdorff_distance"),
         (polynomials, "lift"),
         (polynomials, "eval_poly"),
         (schur, "schur_step"),

@@ -29,20 +29,18 @@ from schurvar import (
     schur_parameters,
     strip,
 )
-from schurvar.polynomials import omega_nested
 from schurvar.quadrature import integrate_segment
 from schurvar.regions import (
     boundary_curve,
-    convex_hull,
     convexity_defect,
-    distance_to_boundary,
     enclosed_area,
-    hausdorff_distance,
     integrand,
     log_derivative_curve,
     log_derivative_setup,
     q_value,
 )
+
+from oracles import convex_hull, distance_to_boundary, hausdorff_distance, omega_nested
 
 Z0 = 0.3
 
@@ -827,9 +825,9 @@ def test_hausdorff_detects_translation():
     assert abs(got - 0.1) < 1e-3
 
 
-# Reference formulas over whole (queries x edges) matrices.  The blocked
+# Reference formula over the whole (queries x edges) matrix.  The blocked
 # geometry puts every element through the same operations in the same
-# order, so it must match them bit for bit.
+# order, so it must match it bit for bit.
 
 
 def unblocked_depths(v, queries):
@@ -844,14 +842,13 @@ def unblocked_depths(v, queries):
     return -np.min(inward, axis=1)
 
 
-def unblocked_distances(v, q):
-    d = np.roll(v, -1) - v
-    length_sq = np.abs(d) ** 2
-    safe = np.where(length_sq > 0.0, length_sq, 1.0)
-    t = np.real(np.conjugate(d)[None, :] * (q[:, None] - v[None, :])) / safe[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = v[None, :] + t * d[None, :]
-    return np.min(np.abs(q[:, None] - proj), axis=1)
+def assert_depth_is_distance_inside(v, q):
+    # inside a convex polygon minus the depth is the distance to the nearest
+    # segment, which the oracle computes by projecting onto every segment
+    depths = containment_depths(v, q)
+    inside = depths < 0.0
+    gap = np.abs(depths[inside] + distance_to_boundary(v, q[inside]))
+    assert np.all(gap <= 1e-15 * max(1.0, float(np.max(np.abs(v)))))
 
 
 def wobbly_polygon(n):
@@ -875,7 +872,7 @@ def test_blocked_geometry_is_bit_identical_to_unblocked(shape, count):
     q = 1.6 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
     q[: min(count, 5)] = v[: min(count, 5)]
     assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
-    assert np.array_equal(distance_to_boundary(v, q), unblocked_distances(v, q))
+    assert_depth_is_distance_inside(v, q)
     if count:
         assert contains(v, q[0]) == bool(unblocked_depths(v, q[:1])[0] <= 1e-6)
 
@@ -914,7 +911,7 @@ def test_pruned_geometry_is_bit_identical_on_multi_block_polygons(shape):
     v = MULTI_BLOCK_POLYGONS[shape]
     q = probe_points(v)
     assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
-    assert np.array_equal(distance_to_boundary(v, q), unblocked_distances(v, q))
+    assert_depth_is_distance_inside(v, q)
     for w in q[:3]:  # the centroid, the worst case for pruning, and two vertices
         assert contains(v, w) == bool(unblocked_depths(v, np.array([w]))[0] <= 1e-6)
 
@@ -926,8 +923,7 @@ def test_geometry_keeps_non_finite_and_huge_queries():
         for v in (MULTI_BLOCK_POLYGONS["ccw-4099"], GEOMETRY_POLYGONS["cw"]):
             got = containment_depths(v, q)
             assert np.array_equal(got, unblocked_depths(v, q), equal_nan=True)
-            got = distance_to_boundary(v, q)
-            assert np.array_equal(got, unblocked_distances(v, q), equal_nan=True)
+            assert_depth_is_distance_inside(v, q)
 
 
 def test_pruned_containment_evaluates_few_pairs(monkeypatch):
@@ -963,19 +959,16 @@ def traced_peak_mb(fn, *args):
 
 
 def test_geometry_memory_does_not_grow_with_query_count():
-    # whole (queries x edges) temporaries took 156 MB for containment and
-    # 768 MB for the Hausdorff distance at these sizes
+    # whole (queries x edges) temporaries took 156 MB for containment at
+    # these sizes
     n = 4096
     v = wobbly_polygon(n)
     rng = np.random.default_rng(3)
     q = 0.5 * np.sqrt(rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
     assert traced_peak_mb(containment_depths, v, q) < 16.0
-    w = v * np.exp(1j * np.pi / n)
-    assert traced_peak_mb(hausdorff_distance, v, w) < 16.0
     # the CLI's --count cap: the per-block bounds are taken over query passes
     q = 1.2 * np.sqrt(rng.random(10000)) * np.exp(2j * np.pi * rng.random(10000))
     assert traced_peak_mb(containment_depths, v, q) < 16.0
-    assert traced_peak_mb(distance_to_boundary, v, q) < 16.0
 
 
 def test_enclosed_area_frozen_values():

@@ -19,8 +19,9 @@ from schurvar import (
     data_from_parameters,
     schur_parameters,
 )
-from schurvar.polynomials import mobius
 from schurvar.schur import schur_step
+
+from oracles import mobius
 
 
 def disk_points(radius: float):
