@@ -102,10 +102,10 @@ def _pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _number(value) -> float:
+def _number(value, what: str = "coefficients") -> float:
     """A JSON number as a float; booleans and strings are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"coefficients must be JSON numbers, got {type(value).__name__}")
+        raise ValueError(f"{what} must be JSON numbers, got {type(value).__name__}")
     return float(value)
 
 
@@ -282,9 +282,12 @@ def _parse_curve_csv(text: str):
     for line in lines[1:]:
         if line.startswith("#"):
             sidecar = json.loads(line[1:], parse_int=float)  # a huge integer is inf
+            if not isinstance(sidecar, dict):
+                raise ValueError(f"CSV comment is not a JSON object: {line!r}")
             if "interior_witness" in sidecar:
-                re, im = sidecar["interior_witness"]
-                witness = _finite_point(float(re), float(im), line)
+                parts = sidecar["interior_witness"]
+                re, im = (_number(x, "interior_witness parts") for x in parts)
+                witness = _finite_point(re, im, line)
             continue
         fields = line.split(",")
         if len(fields) != 3:

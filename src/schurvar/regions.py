@@ -34,6 +34,7 @@ do not check them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,13 +80,11 @@ _MAX_BLASCHKE_DEGREE = 6
 #: Consecutive edges per block of the pruned point-against-edges geometry.
 #: Smaller blocks prune more pairs but cost one more Python step each.
 _EDGE_BLOCK = 64
-#: Blocks times queries per pass of the block bounds: queries are taken in
-#: passes of ``_BOUND_ELEMENTS // blocks`` rows, so memory does not grow with
-#: their count.
+#: Blocks times queries per pass of the block bounds, so that memory does not
+#: grow with the number of queries.
 _BOUND_ELEMENTS = 2**16
 #: Rounding slack of the block bounds, relative to |q - centre| plus the
-#: polygon's extent: about 4500 ulps, where an exact value and a bound each
-#: err by a few.
+#: polygon's extent: about 4500 ulps, where values and bounds err by a few.
 _BOUND_SLACK = 1e-12
 
 
@@ -97,11 +96,12 @@ _BOUND_SLACK = 1e-12
 class RegionRequest:
     """A fully specified region computation, validated once here.
 
-    ``j >= -1`` (integer weight power), ``0 < |z0| < 1``, ``samples >= 4``
-    (the default 512 is what the containment tolerances are calibrated
-    for; tiny counts are allowed for smoke tests and quick plots); ``data``
-    and ``tol`` check themselves.  The kernels behind :func:`region` rely
-    on these checks and do not repeat them.
+    ``j >= -1`` (integer weight power), ``0 < |z0| < 1``, an integer
+    ``samples >= 4`` (the default 512 is what the containment tolerances
+    are calibrated for; tiny counts are allowed for smoke tests and quick
+    plots); ``data`` and ``tol`` check themselves.  ``j`` and ``samples``
+    are stored as Python ints.  The kernels behind :func:`region` rely on
+    these checks and do not repeat them.
     """
 
     data: CaratheodoryData
@@ -114,11 +114,14 @@ class RegionRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.data, CaratheodoryData):
             object.__setattr__(self, "data", CaratheodoryData(tuple(self.data)))
-        object.__setattr__(self, "z0", _check_weight_and_endpoint(self.j, self.z0))
-        if self.samples < _MIN_BOUNDARY_SAMPLES:
+        j, z0 = _check_weight_and_endpoint(self.j, self.z0)
+        samples = _integer(self.samples, "boundary sample count")
+        if samples < _MIN_BOUNDARY_SAMPLES:
             raise ContractViolation(
                 f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
             )
+        for name, value in (("j", j), ("z0", z0), ("samples", samples)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_gamma(cls, gamma: Sequence[complex], **kwargs) -> "RegionRequest":
@@ -196,14 +199,20 @@ def _check_endpoint(z0: complex) -> complex:
     return z0
 
 
-def _check_weight_and_endpoint(j: int, z0: complex) -> complex:
-    """Check an integer weight power ``j >= -1`` and return :func:`_check_endpoint`
-    of ``z0``: the checks of a region computation's ``j`` and ``z0``."""
-    if not isinstance(j, int) or isinstance(j, bool):
-        raise ContractViolation("weight power j must be an integer")
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: any ``numbers.Integral`` but a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ContractViolation(f"{name} must be an integer")
+    return int(value)
+
+
+def _check_weight_and_endpoint(j: int, z0: complex) -> tuple[int, complex]:
+    """The checks of a region computation's ``j`` and ``z0``: an integer
+    weight power ``j >= -1`` and :func:`_check_endpoint` of ``z0``."""
+    j = _integer(j, "weight power j")
     if j < -1:
         raise ContractViolation("weight power j must be >= -1")
-    return _check_endpoint(z0)
+    return j, _check_endpoint(z0)
 
 
 def q_value(
@@ -492,11 +501,12 @@ def oracle_samples(
     factor) lifted through the polynomial set and integrated.  All draws
     come from one PCG64 stream seeded with ``seed``; the whole batch is
     integrated together.  ``j`` and ``z0`` are checked as in
-    :class:`RegionRequest` and ``quad_tol`` as in :class:`ToleranceConfig`,
-    before anything is integrated.
+    :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`
+    and ``count`` as an integer, before anything is integrated.
     """
-    z0 = _check_weight_and_endpoint(j, z0)
+    j, z0 = _check_weight_and_endpoint(j, z0)
     ToleranceConfig(quad_tol=quad_tol)  # raises on a bad quad_tol
+    count = _integer(count, "sample count")
     if count < 0:
         raise ContractViolation("sample count must be non-negative")
     if count == 0:
@@ -560,66 +570,34 @@ def convexity_defect(boundary) -> float:
     return float(np.min(cross[keep] / norms[keep]))
 
 
-def _row_minima(
-    queries: np.ndarray, n_cols: int, fill, bounds, v: np.ndarray
-) -> np.ndarray:
-    """Per-query minimum over ``n_cols`` columns, skipping blocks that cannot hold it.
-
-    ``fill(q, cols)`` returns the values of the queries ``q`` against the
-    columns ``cols`` (a slice) as a ``(queries, cols)`` array, each element
-    through the ufuncs and operand layout of a whole ``(queries, n_cols)``
-    matrix: numpy's complex product takes an FMA or a plain path by layout.
-    ``bounds(u)`` gets the queries less the vertex mean c of the polygon
-    ``v`` and returns an upper and a lower bound on each block's values, as
-    two ``(blocks, queries)`` arrays, for the blocks of :func:`_blocks`.
-    Values and bounds err by a few ulps of |u| + extent (twice the largest
-    |v - c|), so a block is evaluated only where its lower bound is within
-    ``_BOUND_SLACK`` times that of the least upper bound.  The block holding
-    the minimum always is, and the result is the full row's minimum bit for
-    bit.  A query whose bounds are not all finite takes the full row.
-    Memory is O(``_BOUND_ELEMENTS`` + rows * ``_EDGE_BLOCK``) for any number
-    of queries.
-    """
-    centre = np.mean(v)
-    extent = 2.0 * float(np.max(np.abs(v - centre)))
-    starts, counts, _ = _blocks(n_cols)
-    rows_per_pass = max(1, _BOUND_ELEMENTS // len(starts))
-    out = np.empty(len(queries))
-    for lo in range(0, len(queries), rows_per_pass):
-        q = queries[lo : lo + rows_per_pass]
-        u = q - centre
-        upper, lower = bounds(u)
-        ceiling = np.min(upper, axis=0) + _BOUND_SLACK * (np.abs(u) + extent)
-        wanted = lower <= ceiling
-        wanted[:, ~(np.isfinite(ceiling) & np.all(np.isfinite(lower), axis=0))] = True
-        best = np.full(len(q), np.inf)
-        for b in np.flatnonzero(np.any(wanted, axis=1)):
-            rows = np.flatnonzero(wanted[b])
-            block = slice(starts[b], starts[b] + counts[b])
-            best[rows] = np.minimum(best[rows], fill(q[rows], block).min(axis=1))
-        out[lo : lo + len(q)] = best
-    return out
-
-
-def _blocks(n: int):
-    """Start, length and middle index of each block of consecutive columns.
-
-    The fewest blocks of at most ``_EDGE_BLOCK`` columns, of near-equal
-    length, so that no block is a lone column when ``n > 1``: numpy can
-    compute a lone complex product on another path than the same product
-    within a row.
-    """
-    n_blocks = -(-n // _EDGE_BLOCK)
-    starts = np.arange(n_blocks) * n // n_blocks
-    counts = np.diff(np.append(starts, n))
-    return starts, counts, starts + counts // 2
+def _inward(q, conj_e, base, scale) -> np.ndarray:
+    """Inward distance ``Im(conj(e) (q - base)) / scale`` of each point ``q``
+    from each edge line, as a ``(len(q), len(base))`` array, through the
+    ufuncs and operand layout of the whole ``(queries, edges)`` matrix:
+    numpy's complex product takes an FMA or a plain path by layout, and a
+    block of edges must get the full pass's values bit for bit."""
+    work = np.multiply(conj_e[None, :], np.subtract(q[:, None], base[None, :]))
+    return np.divide(work.imag, scale[None, :])
 
 
 def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Max over edges of the signed distance outside each edge line.
+    """Max over edges of the signed distance outside each edge line:
+    negative inside a convex polygon (minus the distance to the boundary),
+    positive outside, for either orientation.
 
-    Negative inside a convex polygon (equal to minus the distance to the
-    boundary), positive outside.  Orientation is normalized internally.
+    The edges go in the fewest near-equal blocks of at most ``_EDGE_BLOCK``
+    (none a lone column), each anchored at the base p of its middle edge,
+    whose inward unit normal is m.  With ``conj(m) (q - p) = x + i y`` and
+    ``m_k = m (a_k + i c_k)``, ``inward_k(q) = inward_k(p) + a_k x + c_k y``:
+    over a block x (the middle edge's own distance) is an upper bound and
+    ``floor + x - |x| along - |y| across`` a lower one, for ``floor = min
+    inward_k(p)``, ``along = max(1 - a_k)`` and ``across = max |c_k|``.  A
+    point takes :func:`_inward` only on the blocks whose lower bound is
+    within ``_BOUND_SLACK (|q - c| + extent)`` of its least upper bound (c
+    the vertex mean; bounds and values err by a few ulps of that), which
+    always include the minimum's block, so the result is the full pass's
+    bit for bit.  A point with a non-finite bound takes every block.
+    Points go in passes of ``_BOUND_ELEMENTS // blocks``.
     """
     shoelace = float(np.sum(np.imag(np.conjugate(v) * np.roll(v, -1))))
     orient = 1.0 if shoelace >= 0.0 else -1.0
@@ -633,52 +611,38 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     # x / (orient |e|) equals (orient x) / |e| bit for bit: negation is exact
     scale = orient * np.abs(e)
 
-    def fill(q, cols):
-        work = np.multiply(conj_e[None, cols], np.subtract(q[:, None], base[None, cols]))
-        return np.divide(work.imag, scale[None, cols])
+    n_blocks = -(-len(e) // _EDGE_BLOCK)
+    ends = np.arange(n_blocks + 1) * len(e) // n_blocks
+    starts, middles = ends[:-1], (ends[:-1] + ends[1:]) // 2
+    normal = 1j * e / scale  # m_k
+    anchor, conj_m = base[middles], np.conjugate(normal[middles])
+    # inward_k(p) = <p - base_k, m_k>
+    at_anchor = np.conjugate(normal) * (np.repeat(anchor, np.diff(ends)) - base)
+    floor = np.minimum.reduceat(at_anchor.real, starts)
+    turned = normal * np.repeat(conj_m, np.diff(ends))  # a_k + i c_k
+    along = np.maximum.reduceat(1.0 - turned.real, starts)[:, None]
+    across = np.maximum.reduceat(np.abs(turned.imag), starts)[:, None]
 
-    # The inward distance to edge k is affine in q: with the base p of a
-    # block's middle edge, inward_k(q) = inward_k(p) + <q - p, m_k> for the
-    # unit inward normal m_k.  In the frame (n, i n) of the middle edge's
-    # normal n, write q - p = x + i y and m_k = a_k + i c_k.  Over the block,
-    # inward_k(q) >= min inward_k(p) + x mid(a) - |x| half(a) + y mid(c)
-    # - |y| half(c), and the middle edge itself has inward(q) = x.  Each
-    # term is affine in u = q - c, so one matrix product gives them all.
-    starts, counts, middles = _blocks(len(e))
-    owner = np.repeat(np.arange(len(starts)), counts)
-    anchor = base[middles]
-    normal = 1j * e[middles] / scale[middles]
-    local = 1j * e / scale * np.conjugate(normal)[owner]
-    offset = anchor - np.mean(v)
-
-    def affine(direction, factor):
-        """Rows mapping (1, Re u, Im u) to factor * <q - p, direction>."""
-        shift = -(np.conjugate(direction) * offset).real
-        return factor[:, None] * np.stack([shift, direction.real, direction.imag], axis=1)
-
-    def spread(x):
-        lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
-        return (lo + hi) / 2.0, (hi - lo) / 2.0
-
-    (a_mid, a_half), (c_mid, c_half) = spread(local.real), spread(local.imag)
-    linear_rows = affine(normal, a_mid) + affine(1j * normal, c_mid)
-    at_anchor = np.imag(conj_e * (anchor[owner] - base)) / scale
-    linear_rows[:, 0] += np.minimum.reduceat(at_anchor, starts)
-    weights = np.concatenate(
-        [
-            affine(normal, np.ones(len(starts))),
-            linear_rows,
-            affine(normal, a_half),
-            affine(1j * normal, c_half),
-        ]
-    )
-
-    def bounds(u):
-        terms = weights @ np.stack([np.ones(len(u)), u.real, u.imag])
-        x, linear, x_half, y_half = np.split(terms, 4)
-        return x, linear - np.abs(x_half) - np.abs(y_half)
-
-    return -_row_minima(queries, len(e), fill, bounds, v)
+    centre = np.mean(v)
+    extent = 2.0 * float(np.max(np.abs(v - centre)))
+    rows_per_pass = max(1, _BOUND_ELEMENTS // n_blocks)
+    out = np.empty(len(queries))
+    for lo in range(0, len(queries), rows_per_pass):
+        q = queries[lo : lo + rows_per_pass]
+        local = conj_m[:, None] * (q[None, :] - anchor[:, None])
+        x = local.real
+        lower = floor[:, None] + x - np.abs(x) * along - np.abs(local.imag) * across
+        ceiling = np.min(x, axis=0) + _BOUND_SLACK * (np.abs(q - centre) + extent)
+        wanted = lower <= ceiling
+        wanted[:, ~(np.isfinite(ceiling) & np.all(np.isfinite(lower), axis=0))] = True
+        best = np.full(len(q), np.inf)
+        for b in np.flatnonzero(np.any(wanted, axis=1)):
+            rows = np.flatnonzero(wanted[b])
+            cols = slice(ends[b], ends[b + 1])
+            values = _inward(q[rows], conj_e[cols], base[cols], scale[cols])
+            best[rows] = np.minimum(best[rows], values.min(axis=1))
+        out[lo : lo + len(q)] = best
+    return -out
 
 
 def containment_depths(result, points) -> np.ndarray:
@@ -686,16 +650,12 @@ def containment_depths(result, points) -> np.ndarray:
 
     Negative values are inside the polygon (minus the distance to the
     nearest edge line), positive values are outside; ``contains`` is the
-    thresholded form of this.  The edges are cut into blocks of
-    ``_EDGE_BLOCK``; each point gets the exact formula only on the blocks
-    whose lower bound can hold its minimum, so the result is bit-identical
-    to the full q * N pass.  For q points and N vertices the bounds cost
-    O(q * N / ``_EDGE_BLOCK``) and the exact pass O(q * k * ``_EDGE_BLOCK``)
-    for k kept blocks per point, a few near the boundary (5 % of q * N for
-    the sample pipeline's draws against 4096 vertices); a point nearly
-    equidistant from every edge, such as the centre of a regular polygon,
-    keeps them all.  Memory is O(N) plus a bound matrix of at most
-    ``_BOUND_ELEMENTS`` entries per pass of points, whatever q is.
+    thresholded form of this.  Bit-identical to the full q * N pass over q
+    points and N vertices, which :func:`_outward_depths` prunes to a few
+    blocks of ``_EDGE_BLOCK`` edges per point near the boundary (5 % of
+    q * N for the sample pipeline's draws against 4096 vertices); a point
+    nearly equidistant from every edge, such as the centre of a regular
+    polygon, keeps them all.  Memory does not grow with q.
     """
     v = _vertices(result)
     q = np.atleast_1d(np.asarray(points, dtype=np.complex128))
@@ -709,9 +669,7 @@ def contains(result, w, geom_tol: float = 1e-6) -> bool:
     quadrature error and the gap between the inscribed polygon and the
     true curve.  ``result`` is a Jordan region or a vertex sequence.
     """
-    v = _vertices(result)
-    depth = _outward_depths(v, np.asarray([complex(w)], dtype=np.complex128))[0]
-    return bool(depth <= geom_tol)
+    return bool(containment_depths(result, complex(w))[0] <= geom_tol)
 
 
 def enclosed_area(boundary) -> float:

@@ -440,9 +440,20 @@ def test_plot_rejects_malformed_rows(tmp_path, capsys):
     assert code == 2
 
 
-def test_plot_rejects_a_witness_too_large_for_a_float(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        '# {"interior_witness": [' + "9" * 400 + ", 0]}",
+        '# {"interior_witness": [true, "0.5"]}',
+        '# {"interior_witness": [0.5, "0.1"]}',
+        "# [1, 2]",
+    ],
+    ids=["huge", "bool-and-string", "string", "list"],
+)
+def test_plot_rejects_a_witness_too_large_for_a_float(tmp_path, capsys, sidecar):
+    # and a witness that is not two JSON numbers, or a sidecar that is not
+    # a JSON object
     path = tmp_path / "big.csv"
-    sidecar = '# {"interior_witness": [' + "9" * 400 + ", 0]}"
     path.write_text("theta,re,im\n0,0.0,0.0\n1,1.0,0.0\n2,0.0,1.0\n" + sidecar + "\n")
     code = main(["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")])
     err = capsys.readouterr().err

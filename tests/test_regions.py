@@ -448,6 +448,7 @@ def test_request_rejects_bad_fields():
         dict(z0=complex(math.inf, 0.0)),
         dict(z0=complex(-math.inf, math.nan)),
         dict(samples=3),
+        dict(samples=512.0),
     ):
         with pytest.raises(ContractViolation):
             RegionRequest(**{**good, **patch})
@@ -714,6 +715,8 @@ def test_oracle_count_edge_cases():
         dict(quad_tol=-1e-10),
         dict(quad_tol=math.inf),
         dict(quad_tol=math.nan),
+        dict(count=10.0),
+        dict(count=True),
     ],
 )
 def test_oracle_rejects_bad_input_before_integrating(monkeypatch, patch):
@@ -726,12 +729,12 @@ def test_oracle_rejects_bad_input_before_integrating(monkeypatch, patch):
         return integrand(*args)
 
     monkeypatch.setattr(schurvar.regions, "integrand", counting)
-    good = dict(j=0, z0=Z0, quad_tol=1e-10)
-    oracle_samples((0.3,), half_plane(), seed=1, count=4, **good)
+    good = dict(j=0, z0=Z0, quad_tol=1e-10, count=4)
+    oracle_samples((0.3,), half_plane(), seed=1, **good)
     assert calls
     calls.clear()
     with pytest.raises(ContractViolation):
-        oracle_samples((0.3,), half_plane(), seed=1, count=4, **{**good, **patch})
+        oracle_samples((0.3,), half_plane(), seed=1, **{**good, **patch})
     assert calls == []
 
 
@@ -877,14 +880,31 @@ def test_blocked_geometry_is_bit_identical_to_unblocked(shape, count):
         assert contains(v, q[0]) == bool(unblocked_depths(v, q[:1])[0] <= 1e-6)
 
 
+def square_polygon(n):
+    # n // 4 points per side: the blocks along a side are collinear (tied
+    # minima), and the roll puts each corner inside a block
+    t = np.arange(n // 4) / (n // 4)
+    return np.roll(np.concatenate([t, 1.0 + 1j * t, 1.0 - t + 1j, 1j * (1.0 - t)]), 32)
+
+
+def needle_polygon(n):
+    # an ellipse with axes 1 and 1e-4, rolled so that each tip is the base of
+    # a block's middle edge
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.roll(np.cos(t) + 1e-4j * np.sin(t), 32)
+
+
 # Polygons over several edge blocks, with edge counts that are and are not a
-# multiple of the block size, for the pruned geometry.
+# multiple of the block size, for the pruned geometry.  Only the square and
+# the needle turn sharply within a block.
 MULTI_BLOCK_POLYGONS = {
     "ccw-4096": wobbly_polygon(4096),
     "ccw-4099": wobbly_polygon(4099),
     "cw-4096": wobbly_polygon(4096)[::-1].copy(),
     "cw-4099": wobbly_polygon(4099)[::-1].copy(),
     "repeated": np.repeat(wobbly_polygon(1000), [1, 3] * 500),  # zero-length edges
+    "square-4096": square_polygon(4096),
+    "needle-4096": needle_polygon(4096),
 }
 
 
@@ -930,17 +950,14 @@ def test_pruned_containment_evaluates_few_pairs(monkeypatch):
     # deterministic work counter: every (point, edge) value the exact formula
     # computes, against the q * N of an unpruned pass
     evaluated = []
-    row_minima = schurvar.regions._row_minima
+    inward = schurvar.regions._inward
 
-    def counting(queries, n_cols, fill, *rest):
-        def counted_fill(q, cols):
-            values = fill(q, cols)
-            evaluated.append(values.size)
-            return values
+    def counting(*args):
+        values = inward(*args)
+        evaluated.append(values.size)
+        return values
 
-        return row_minima(queries, n_cols, counted_fill, *rest)
-
-    monkeypatch.setattr(schurvar.regions, "_row_minima", counting)
+    monkeypatch.setattr(schurvar.regions, "_inward", counting)
     n = 4096
     v = wobbly_polygon(n)
     rng = np.random.default_rng(3)
