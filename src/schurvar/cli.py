@@ -25,9 +25,7 @@ Complex values serialize as two-element ``[re, im]`` arrays in JSON and
 two CSV columns; ``--z0`` accepts ``a+bi`` notation, as ``--z0=-0.3+0.4i``
 when the real part is negative.  Input JSON schema:
 ``{"coefficients": [[re, im], ...], "domain": "half-plane" | "strip" |
-"disk:<re>,<im>,<r>"}``.  The ``SCHUR_QUAD_TOL`` environment variable
-overrides the quadrature tolerance; an explicit ``--quad-tol`` flag
-overrides both.
+"disk:<re>,<im>,<r>"}``.  ``--quad-tol`` sets the quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -122,18 +119,6 @@ def _load_input(path: str, domain_override: str | None) -> tuple[CaratheodoryDat
     return data, parse_domain(domain_override or payload.get("domain", "half-plane"))
 
 
-def _tolerances(args) -> ToleranceConfig:
-    """``--quad-tol``, else ``SCHUR_QUAD_TOL``, else the default, checked
-    by ToleranceConfig."""
-    quad_tol = args.quad_tol
-    if quad_tol is None:
-        env = os.environ.get("SCHUR_QUAD_TOL")
-        if not env:
-            return ToleranceConfig()
-        quad_tol = float(env)
-    return ToleranceConfig(quad_tol=quad_tol)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -180,7 +165,7 @@ def _check_size(flag: str, value: int, cap: float = math.inf, least: float = 0) 
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
     _check_size("--samples", args.samples, MAX_SAMPLES, least=-math.inf)
     data, domain = _load_input(args.input, args.domain)
-    tol = _tolerances(args)
+    tol = ToleranceConfig(quad_tol=args.quad_tol)
     cls = schur_parameters(data, tol)
     if not isinstance(cls, Interior):
         kind = "boundary" if isinstance(cls, Boundary) else "exterior"
@@ -307,8 +292,6 @@ def _finite_point(re: float, im: float, line: str) -> complex:
 
 def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
-    if span <= 0:
-        return [lo]
     step = 10.0 ** math.floor(math.log10(span / target))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (mult * step) <= target:
@@ -439,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--quad-tol",
             type=float,
-            default=None,
-            help="quadrature tolerance (overrides SCHUR_QUAD_TOL)",
+            default=ToleranceConfig.quad_tol,
+            help="quadrature tolerance (default %(default)g)",
         )
         p.add_argument("--output", help="output file (default stdout)")
 

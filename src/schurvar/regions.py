@@ -341,26 +341,18 @@ def _validate_polygon(points: np.ndarray, geom_tol: float) -> None:
     """Reject a boundary polygon that is not a simple convex loop.
 
     The extremal curve is analytic, convex and traversed once, so the
-    sampled polygon must turn consistently (defect above ``-geom_tol``)
-    and wind exactly once; anything else signals a numerical fault.
+    sampled polygon must turn consistently (defect above ``-geom_tol``, not
+    NaN) and wind exactly once; anything else signals a numerical fault.
     """
-    distinct = points[np.concatenate(([True], np.abs(np.diff(points)) > 0))]
-    if len(distinct) > 1 and distinct[-1] == distinct[0]:
-        distinct = distinct[:-1]
-    if len(distinct) < 3:
-        raise GeometryDegenerate("boundary polygon collapsed to fewer than 3 points")
-    edges = np.roll(distinct, -1) - distinct
-    turn = np.angle(np.roll(edges, -1) / edges)
-    winding = float(np.sum(turn) / (2.0 * np.pi))
-    if convexity_defect(points) < -geom_tol:
+    sine, angle = _turns(_loop(points)[1])
+    winding = float(np.sum(angle) / (2.0 * np.pi))
+    if not float(np.min(sine)) >= -geom_tol:
         raise GeometryDegenerate(
             "boundary polygon is non-convex beyond tolerance; "
             "the extremal curve should be convex"
         )
-    if abs(abs(winding) - 1.0) > 1e-3:
-        raise GeometryDegenerate(
-            f"boundary polygon winds {winding:g} times instead of once"
-        )
+    if not abs(abs(winding) - 1.0) <= 1e-3:
+        raise GeometryDegenerate(f"boundary polygon winds {winding:g} times instead of once")
 
 
 def region(request: RegionRequest) -> RegionResult:
@@ -552,22 +544,35 @@ def _vertices(obj) -> np.ndarray:
     return v
 
 
+def _loop(obj) -> tuple[np.ndarray, np.ndarray]:
+    """A closed polygon's vertices and the edge leaving each, in curve order;
+    a run of equal consecutive vertices, wrapping or not, counts as one."""
+    v = _vertices(obj)
+    edges = np.roll(v, -1) - v
+    keep = np.abs(edges) > 0.0
+    if np.count_nonzero(keep) < _MIN_POLYGON_POINTS:
+        raise GeometryDegenerate("polygon has fewer than 3 distinct vertices")
+    return v[keep], edges[keep]
+
+
+def _turns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sine and the angle of the turn from each edge to the next."""
+    following = np.roll(edges, -1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # NaN on underflow
+        sine = np.imag(np.conjugate(edges) * following) / (np.abs(edges) * np.abs(following))
+        return sine, np.angle(following / edges)
+
+
 def convexity_defect(boundary) -> float:
-    """Most negative normalized cross product over consecutive edge pairs.
+    """Most negative sine of a turn between consecutive edges.
 
     Values at or above ``-geom_tol`` indicate convexity at the sampling
     resolution (for a counterclockwise curve); strongly negative values
-    flag genuinely reflex corners.  Zero-length edges are skipped.
+    flag genuinely reflex corners.  A repeated vertex counts once, so the
+    turn across it is measured between its neighbouring edges.  A turn
+    whose edges' lengths multiply to below the smallest float reads NaN.
     """
-    v = _vertices(boundary)
-    e1 = np.roll(v, -1) - v
-    e2 = np.roll(e1, -1)
-    cross = np.imag(np.conjugate(e1) * e2)
-    norms = np.abs(e1) * np.abs(e2)
-    keep = norms > 0.0
-    if not np.any(keep):
-        raise GeometryDegenerate("all polygon edges have zero length")
-    return float(np.min(cross[keep] / norms[keep]))
+    return float(np.min(_turns(_loop(boundary)[1])[0]))
 
 
 def _inward(q, conj_e, base, scale) -> np.ndarray:
@@ -601,12 +606,7 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """
     shoelace = float(np.sum(np.imag(np.conjugate(v) * np.roll(v, -1))))
     orient = 1.0 if shoelace >= 0.0 else -1.0
-    edges = np.roll(v, -1) - v
-    keep = np.abs(edges) > 0.0
-    if not np.any(keep):
-        raise GeometryDegenerate("all polygon edges have zero length")
-    e = edges[keep]
-    base = v[keep]
+    base, e = _loop(v)
     conj_e = np.conjugate(e)
     # x / (orient |e|) equals (orient x) / |e| bit for bit: negation is exact
     scale = orient * np.abs(e)

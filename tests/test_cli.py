@@ -244,22 +244,19 @@ def test_boundary_impossible_tolerance(capsys, write_json):
     assert code == 4
 
 
-def test_quad_tol_env_and_flag_precedence(capsys, write_json, monkeypatch):
+def test_quad_tol_env_var_is_ignored(capsys, write_json, monkeypatch):
+    # --quad-tol is the one way to set the tolerance: 1e-18 through it exits
+    # 4 (test_boundary_impossible_tolerance); from the environment it is unread
     path = write_json(INTERIOR)
+    _, want = run(capsys, boundary_args(path))
     monkeypatch.setenv("SCHUR_QUAD_TOL", "1e-18")
-    code, _ = run(capsys, boundary_args(path))
-    assert code == 4  # env var alone drives the quadrature into the ground
-    code, _ = run(capsys, boundary_args(path, extra=("--quad-tol", "1e-10")))
-    assert code == 0  # explicit flag wins over the environment
+    assert run(capsys, boundary_args(path)) == (0, want)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])
-def test_quad_tol_that_is_not_positive_and_finite_is_invalid_input(capsys, write_json, monkeypatch, value):
+def test_quad_tol_that_is_not_positive_and_finite_is_invalid_input(capsys, write_json, value):
     path = write_json(INTERIOR)
     code, out = run(capsys, boundary_args(path, extra=("--quad-tol", value)))
-    assert (code, out) == (2, "")
-    monkeypatch.setenv("SCHUR_QUAD_TOL", value)
-    code, out = run(capsys, boundary_args(path))
     assert (code, out) == (2, "")
 
 
@@ -429,6 +426,15 @@ def test_plot_rejects_header_only_csv(tmp_path, capsys):
         capsys, ["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")]
     )
     assert code == 2
+
+
+def test_plot_rejects_a_csv_without_its_header(tmp_path, capsys):
+    path = tmp_path / "headless.csv"
+    path.write_text("0,1,0\n1,0,1\n2,-1,0\n")
+    code = main(["plot", "--input", str(path), "--output", str(tmp_path / "o.svg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
 def test_plot_rejects_malformed_rows(tmp_path, capsys):

@@ -792,6 +792,34 @@ def test_convexity_defect_separates_shapes():
     assert convexity_defect(T_SHAPE) < -0.1
 
 
+NOTCHED_SQUARE = np.array([0, 1, 1 + 1j, 0.5 + 0.5j, 1j], dtype=np.complex128)
+# the reflex vertex twice, as when a numerical fault stalls two samples
+NOTCHED_SQUARE_REPEATED = np.insert(NOTCHED_SQUARE, 3, 0.5 + 0.5j)
+
+
+def test_convexity_defect_measures_the_turn_across_a_repeated_vertex():
+    assert abs(convexity_defect(NOTCHED_SQUARE) + 1.0) < 1e-15
+    assert abs(convexity_defect(NOTCHED_SQUARE_REPEATED) + 1.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    ("points", "message"),
+    [
+        (np.exp(2j * (2.0 * np.pi * np.arange(64) / 64)), "winds 2 times"),
+        (NOTCHED_SQUARE, "non-convex"),
+        (np.array([0, 1, 1, 0], dtype=np.complex128), "fewer than 3"),
+        (NOTCHED_SQUARE_REPEATED, "non-convex"),
+        # edges so short that the product of two lengths underflows: every
+        # turn's sine is NaN, which must fail the check without a warning
+        (1e-170 * np.array([0, 1, 1 + 1j, 1j]), None),
+    ],
+    ids=["wound-twice", "notched", "two-distinct", "notched-repeated", "underflow"],
+)
+def test_validate_polygon_rejects_what_is_not_a_convex_loop(points, message):
+    with pytest.raises(GeometryDegenerate, match=message):
+        schurvar.regions._validate_polygon(points, 1e-6)
+
+
 def test_convex_hull_drops_interior_and_collinear_points():
     pts = np.array(
         [0, 1, 1 + 1j, 1j, 0.5 + 0.5j, 0.5, 0.25 + 0.25j],

@@ -16,9 +16,14 @@ is relative, so two runs give the same bytes wherever they are made:
 The grid is ``boundary`` and ``sample --count 300 --seed 7`` for two
 inputs (order-3 data on the half-plane, (0, 0.5) on the strip) at every
 j in {-1, 0, 2} and z0 in {0.5, 0.3+0.4i, 0.85}; ``classify`` on both
-inputs; ``verify --seed 3 --draws 50``; one ``plot``; and
+inputs; ``verify --seed 3 --draws 50``; one ``plot``;
 ``sample --count 10000 --seed 3 --j 0`` on the half-plane input at z0 0.9
-and 0.95.  The script exits 1 if any command exits non-zero.
+and 0.95; and the sizes the rest never asks for: ``boundary --samples
+1000`` on the half-plane input at z0 0.93, j 0, and on the strip input at
+z0 0.95, j -1 (a count that is not a power of two, resampled or
+integrated directly), ``boundary --samples 8`` (a count no larger than
+the first batch) and ``sample --count 0``, both on the half-plane input
+at z0 0.5, j 0.  The script exits 1 if any command exits non-zero.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ def grid() -> list[tuple[str, list[str]]]:
         region = ["--input", "../half-plane.json", f"--z0={z0}", "--j", "0"]
         argv = ["sample", *region, "--count", "10000", "--seed", "3"]
         commands.append((f"sample-half-plane-j0-z{z0}-10000", argv))
+    for label, z0, j in (("half-plane", "0.93", "0"), ("strip", "0.95", "-1")):
+        region = ["--input", f"../{label}.json", f"--z0={z0}", "--j", j]
+        argv = ["boundary", *region, "--samples", "1000", "--output", "curve.csv"]
+        commands.append((f"boundary-{label}-j{j}-z{z0}-1000", argv))
+    region = ["--input", "../half-plane.json", "--z0=0.5", "--j", "0"]
+    argv = ["boundary", *region, "--samples", "8", "--output", "curve.csv"]
+    commands.append(("boundary-half-plane-j0-z0.5-8", argv))
+    commands.append(("sample-half-plane-j0-z0.5-0", ["sample", *region, "--count", "0"]))
     return commands
 
 
