@@ -76,7 +76,18 @@ _MIN_BOUNDARY_SAMPLES = 4
 #: Fewest equispaced epsilons the spectral boundary integrates.
 _MIN_SPECTRAL_SAMPLES = 16
 _MIN_POLYGON_POINTS = 3
+#: A rejected boundary whose samples lie within this many rounding units of
+#: the witness's magnitude is reported as below the resolution of its centre.
+_UNRESOLVED_ULPS = 64
 _MAX_BLASCHKE_DEGREE = 6
+#: A draw's degree is ``integers(0, _DEGREE_SPAN)``: Lemire's method scales a
+#: 32-bit half by the span and rejects the product's low words below
+#: ``(2**32 - span) % span``.
+_DEGREE_SPAN = _MAX_BLASCHKE_DEGREE + 1
+_LEMIRE_THRESHOLD = (2**32 - _DEGREE_SPAN) % _DEGREE_SPAN
+#: 64-bit outputs that one draw takes at most without a rejection: one for its
+#: degree and one per uniform.
+_RAWS_PER_DRAW = 2 * _MAX_BLASCHKE_DEGREE + 2
 #: Consecutive edges per block of the pruned point-against-edges geometry.
 #: Smaller blocks prune more pairs but cost one more Python step each.
 _EDGE_BLOCK = 64
@@ -379,8 +390,26 @@ def region(request: RegionRequest) -> RegionResult:
     jordan = boundary_curve(
         set_, request.j, request.z0, request.domain, request.samples, quad_tol
     )
-    _validate_polygon(jordan.boundary, request.tol.geom_tol)
+    try:
+        _validate_polygon(jordan.boundary, request.tol.geom_tol)
+    except GeometryDegenerate:
+        _raise_if_unresolved(jordan)
+        raise
     return jordan
+
+
+def _raise_if_unresolved(jordan: Jordan) -> None:
+    """Name the fault of a rejected polygon whose samples all lie within
+    ``_UNRESOLVED_ULPS`` rounding units of the witness: the region is then
+    too small to be told apart from the rounding of its own centre."""
+    witness = jordan.interior_witness
+    spread = float(np.max(np.abs(jordan.boundary - witness)))
+    if spread <= _UNRESOLVED_ULPS * np.finfo(float).eps * abs(witness):
+        raise GeometryDegenerate(
+            f"region is below the rounding of its centre: its boundary samples "
+            f"lie within {spread:.3g} of the interior witness, of magnitude "
+            f"{abs(witness):.3g}"
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -455,25 +484,56 @@ def _draw_blaschke(
     """``count`` Blaschke products: degrees, zeros and their mask padded to
     ``(count, _MAX_BLASCHKE_DEGREE)``, and front factors.
 
-    Each draw takes its degree, then one ``2 * degree + 1`` block of
-    uniforms split into radii, angles and the front's angle: the same
-    stream as one call for each.  Only the draws loop; the maps from
-    uniforms to zeros and fronts run once over the padded arrays (a padded
-    zero maps to exactly 0).
+    Each draw takes its degree by ``rng.integers(0, _MAX_BLASCHKE_DEGREE +
+    1)``, then one ``2 * degree + 1`` block of ``rng.random`` uniforms split
+    into radii, angles and the front's angle.  That stream is read here from
+    one ``random_raw`` call of ``rng``'s PCG64 bit generator, as numpy
+    derives it from the 64-bit outputs:
+
+    * a degree is Lemire's bounded integer of a 32-bit half, rejected while
+      the low word of ``half * span`` is below ``_LEMIRE_THRESHOLD``; the
+      low half of an output is taken first and the high half kept for the
+      next degree, starting from a half the generator already holds.  This
+      integer-only pass records where each draw's uniforms start;
+    * a uniform is ``(output >> 11) * 2**-53``, mapped once over the outputs
+      used and gathered into the padded radii, angles and fronts.
+
+    A padded zero maps to exactly 0.  The generator is left past every
+    output drawn, used or not.
     """
+    bits = rng.bit_generator
+    state = bits.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    raws = bits.random_raw(_RAWS_PER_DRAW * count)
     degrees = [0] * count
-    radial = np.zeros((count, _MAX_BLASCHKE_DEGREE))
-    angular = np.zeros((count, _MAX_BLASCHKE_DEGREE))
-    front = np.empty(count)
+    starts = [0] * count
+    at = 0
     for i in range(count):
-        degree = int(rng.integers(0, _MAX_BLASCHKE_DEGREE + 1))
-        u = rng.random(2 * degree + 1)
-        degrees[i] = degree
-        radial[i, :degree] = u[:degree]
-        angular[i, :degree] = u[degree:-1]
-        front[i] = u[-1]
+        while True:
+            if half is None:
+                if at + _RAWS_PER_DRAW > len(raws):  # rejected halves took the room
+                    more = bits.random_raw(_RAWS_PER_DRAW * (count - i))
+                    raws = np.concatenate((raws, more))
+                raw = raws.item(at)
+                at += 1
+                scaled, half = (raw & 0xFFFFFFFF) * _DEGREE_SPAN, raw >> 32
+            else:
+                scaled, half = half * _DEGREE_SPAN, None
+            if scaled & 0xFFFFFFFF >= _LEMIRE_THRESHOLD:
+                break
+        degrees[i] = scaled >> 32
+        starts[i] = at
+        at += 2 * degrees[i] + 1
+
+    uniform = np.zeros(at + _MAX_BLASCHKE_DEGREE)  # and room for padded slots
+    uniform[:at] = (raws[:at] >> np.uint64(11)) * 2.0**-53
+    degree = np.array(degrees)
+    mask = np.arange(_MAX_BLASCHKE_DEGREE) < degree[:, None]
+    radius_at = np.array(starts)[:, None] + np.arange(_MAX_BLASCHKE_DEGREE)
+    radial = np.where(mask, uniform[radius_at], 0.0)
+    angular = np.where(mask, uniform[radius_at + degree[:, None]], 0.0)
+    front = uniform[radius_at[:, 0] + 2 * degree]
     zeros = 0.95 * np.sqrt(radial) * np.exp(1j * (2.0 * np.pi * angular))
-    mask = np.arange(_MAX_BLASCHKE_DEGREE) < np.array(degrees)[:, None]
     return degrees, zeros, mask, np.exp(2j * np.pi * front)
 
 
@@ -491,8 +551,12 @@ def oracle_samples(
     Each draw is a random finite Blaschke product (degree uniform on 0..6,
     zeros area-uniform in the disk of radius 0.95, unimodular front
     factor) lifted through the polynomial set and integrated.  All draws
-    come from one PCG64 stream seeded with ``seed``; the whole batch is
-    integrated together.  ``j`` and ``z0`` are checked as in
+    come from one PCG64 stream seeded with ``seed``, as one
+    ``integers(0, 7)`` and one ``random(2 * degree + 1)`` call per draw
+    would give it (read from one batch of raw outputs, see
+    :func:`_draw_blaschke`).  The whole batch is integrated together, and
+    each zero's factor is multiplied only into the draws that have that
+    zero.  ``j`` and ``z0`` are checked as in
     :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`
     and ``count`` as an integer, before anything is integrated.
     """
@@ -511,8 +575,8 @@ def oracle_samples(
         # one zero column at a time, so no array is larger than (count, nodes)
         product = np.ones((count, len(zeta)), dtype=np.complex128)
         for zeros, used in zip(zeros_mat.T, mask.T):
-            factor = (zeta - zeros[:, None]) / (1.0 - np.conjugate(zeros)[:, None] * zeta)
-            product *= np.where(used[:, None], factor, 1.0)
+            z = zeros[used][:, None]
+            product[used] *= (zeta - z) / (1.0 - np.conjugate(z) * zeta)
         return integrand(set_, fronts[:, None] * product, j, domain, zeta)
 
     values = np.atleast_1d(integrate_segment(f, z0, quad_tol))

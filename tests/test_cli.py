@@ -244,6 +244,14 @@ def test_boundary_impossible_tolerance(capsys, write_json):
     assert code == 4
 
 
+def test_boundary_of_a_region_below_the_rounding_of_its_centre(capsys, write_json):
+    coeffs = schurvar.data_from_parameters((0.3, 0.2j)).coeffs
+    payload = {"coefficients": [[c.real, c.imag] for c in coeffs], "domain": "half-plane"}
+    argv = ["boundary", "--input", write_json(payload), "--z0", "1e-20", "--j", "0"]
+    assert main(argv) == 4
+    assert "region is below the rounding of its centre" in capsys.readouterr().err
+
+
 def test_quad_tol_env_var_is_ignored(capsys, write_json, monkeypatch):
     # --quad-tol is the one way to set the tolerance: 1e-18 through it exits
     # 4 (test_boundary_impossible_tolerance); from the environment it is unread

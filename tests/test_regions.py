@@ -31,6 +31,7 @@ from schurvar import (
 )
 from schurvar.quadrature import integrate_segment
 from schurvar.regions import (
+    _draw_blaschke,
     boundary_curve,
     convexity_defect,
     enclosed_area,
@@ -671,6 +672,61 @@ def test_oracle_draws_equal_one_uniform_call_per_factor():
             assert got.unimodular_factor == front
 
 
+#: A 32-bit half that integers(0, 7) rejects: 7 times it is 2**32 + 3, and
+#: Lemire's method rejects a low word below (2**32 - 7) % 7 = 4.
+REJECTED_HALF = 613566757
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def planted(seed, buffered=REJECTED_HALF, next_raw=None):
+    """A PCG64 generator that holds ``buffered`` as its spare 32-bit half and,
+    given ``next_raw``, whose next 64-bit output is that value: the state is
+    stepped back from one whose XSL-RR output is ``next_raw``."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, buffered
+    if next_raw is not None:
+        high = 0xFEDCBA9876543210  # its top 6 bits are the output's rotation
+        turn = high >> 58
+        xored = ((next_raw << turn) | (next_raw >> (64 - turn))) & (2**64 - 1)
+        stepped = (high << 64) | (xored ^ high)
+        back = (stepped - state["state"]["inc"]) * pow(PCG64_MULTIPLIER, -1, 2**128)
+        state["state"]["state"] = back % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def assert_draws_follow_numpy(seed, count, **plant):
+    degrees, zeros, mask, fronts = _draw_blaschke(planted(seed, **plant), count)
+    rng = planted(seed, **plant)
+    for i in range(count):
+        degree, want, front = three_call_draw(rng)
+        assert degrees[i] == degree
+        assert mask[i].tolist() == [k < degree for k in range(6)]
+        assert zeros[i, :degree].tolist() == want.tolist()
+        assert not np.any(zeros[i, degree:])
+        assert fronts[i] == front
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 301])
+@pytest.mark.parametrize("buffered", [REJECTED_HALF, 2**31])
+def test_batch_draws_take_a_buffered_half_as_numpy_does(count, buffered):
+    # the buffered half is rejected, or taken as the first degree (3)
+    assert (REJECTED_HALF * 7) % 2**32 == 3
+    for seed in (0, 9):
+        assert_draws_follow_numpy(seed, count, buffered=buffered)
+
+
+def test_batch_draws_draw_more_raws_after_rejected_halves():
+    # the buffered half and both halves of the next output are rejected, so
+    # the one draw takes one output more than the batch holds; at this seed
+    # its degree is 6, and its last uniform lies in the outputs drawn after
+    raw = REJECTED_HALF | REJECTED_HALF << 32
+    assert planted(12, next_raw=raw).bit_generator.random_raw() == raw
+    assert three_call_draw(planted(12, next_raw=raw))[0] == 6
+    assert_draws_follow_numpy(12, 1, next_raw=raw)
+
+
 def test_oracle_draw_shapes():
     samples = oracle_samples((0.3, 0.1j), strip(), 0, 0.4, seed=5, count=30)
     assert len(samples) == 30
@@ -818,6 +874,26 @@ def test_convexity_defect_measures_the_turn_across_a_repeated_vertex():
 def test_validate_polygon_rejects_what_is_not_a_convex_loop(points, message):
     with pytest.raises(GeometryDegenerate, match=message):
         schurvar.regions._validate_polygon(points, 1e-6)
+
+
+@pytest.mark.parametrize(("j", "z0"), [(-1, 1e-20), (0, 1e-20), (2, 1e-20), (0, 1e-15), (2, 1e-40)])
+def test_region_below_the_rounding_of_its_centre_is_named(j, z0):
+    # the epsilon-dependent part of Q is about |z0| times its centre, so
+    # these samples are the witness plus rounding noise; the polygon check
+    # fails on them as "winds 0 times" or "non-convex"
+    req = RegionRequest.from_gamma((0.3, 0.2j), j=j, z0=z0, domain=half_plane())
+    with pytest.raises(GeometryDegenerate, match="^region is below the rounding of its centre"):
+        region(req)
+
+
+def test_region_keeps_the_polygon_fault_of_a_resolved_region(monkeypatch):
+    def reject(points, geom_tol):
+        raise GeometryDegenerate("boundary polygon is non-convex beyond tolerance")
+
+    monkeypatch.setattr(schurvar.regions, "_validate_polygon", reject)
+    req = RegionRequest.from_gamma((0.3, 0.2j), j=0, z0=0.5, domain=half_plane())
+    with pytest.raises(GeometryDegenerate, match="^boundary polygon is non-convex"):
+        region(req)
 
 
 def test_convex_hull_drops_interior_and_collinear_points():
