@@ -7,9 +7,15 @@ primitive functional over all admissible maps into a convex target domain
 — including its extremal boundary parametrization, a closed-form
 cross-check for the bounded-derivative special case, and Monte-Carlo
 membership verification.
+
+``import schurvar`` does not import numpy.  The peeling and the errors
+are pure Python and bound here; the names of ``polynomials``, ``domains``
+and ``regions``, and the numeric submodules themselves, are imported on
+first use (PEP 562).
 """
 
-from .domains import DomainMap, disk, half_plane, parse_domain, strip
+from importlib import import_module
+
 from .errors import (
     BranchCutHit,
     ContractViolation,
@@ -17,19 +23,6 @@ from .errors import (
     GeometryDegenerate,
     QuadratureNonConvergence,
     SchurvarError,
-)
-from .polynomials import SchurPolynomialSet, build_polynomials, identity_residuals
-from .regions import (
-    Empty,
-    Jordan,
-    OracleSample,
-    RegionRequest,
-    RegionResult,
-    SinglePoint,
-    containment_depths,
-    contains,
-    oracle_samples,
-    region,
 )
 from .schur import (
     Boundary,
@@ -44,6 +37,31 @@ from .schur import (
 )
 
 __version__ = "0.1.0"
+
+#: The module that holds each public name not bound above.  A resolved name
+#: is not kept here: the benchmark's tracer swaps module attributes, and a
+#: name first resolved while one is swapped would keep the swapped object.
+_HOME = {
+    "SchurPolynomialSet": "polynomials",
+    "build_polynomials": "polynomials",
+    "identity_residuals": "polynomials",
+    "DomainMap": "domains",
+    "half_plane": "domains",
+    "disk": "domains",
+    "strip": "domains",
+    "parse_domain": "domains",
+    "RegionRequest": "regions",
+    "RegionResult": "regions",
+    "Empty": "regions",
+    "SinglePoint": "regions",
+    "Jordan": "regions",
+    "OracleSample": "regions",
+    "region": "regions",
+    "oracle_samples": "regions",
+    "contains": "regions",
+    "containment_depths": "regions",
+}
+_SUBMODULES = ("domains", "polynomials", "quadrature", "regions")
 
 # Each module's ``__all__`` lists exactly the names re-exported here.  The
 # kernels behind them stay importable from their modules and check nothing
@@ -67,25 +85,20 @@ __all__ = [
     "ExteriorReason",
     "schur_parameters",
     "data_from_parameters",
-    # polynomials
-    "SchurPolynomialSet",
-    "build_polynomials",
-    "identity_residuals",
-    # domains
-    "DomainMap",
-    "half_plane",
-    "disk",
-    "strip",
-    "parse_domain",
-    # regions
-    "RegionRequest",
-    "RegionResult",
-    "Empty",
-    "SinglePoint",
-    "Jordan",
-    "OracleSample",
-    "region",
-    "oracle_samples",
-    "contains",
-    "containment_depths",
+    # polynomials, domains and regions
+    *_HOME,
 ]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is not None:
+        # the import system binds a submodule here once it is imported
+        return getattr(globals().get(home) or import_module(f"{__name__}.{home}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -13,6 +13,10 @@ Commands
   random parameters and print a pass/fail table.
 * ``plot``     -- render a boundary CSV as a standalone SVG.
 
+``classify``, ``plot`` and ``--help`` do not import numpy: the commands
+that compute (``boundary``, ``sample``, ``verify``) import the numeric
+modules when they run, so the other three start without that cost.
+
 Exit codes: 0 success, 1 property failure (verify), 2 malformed input,
 3 classification mismatch (region commands on non-interior data),
 4 numerical failure (quadrature or geometry).  ``--samples`` is capped
@@ -34,8 +38,7 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domains import DomainMap, parse_domain
 from .errors import (
@@ -43,15 +46,6 @@ from .errors import (
     DegenerateDenominator,
     GeometryDegenerate,
     QuadratureNonConvergence,
-)
-from .polynomials import identity_residuals
-from .regions import (
-    Jordan,
-    RegionRequest,
-    containment_depths,
-    convexity_defect,
-    oracle_samples,
-    region,
 )
 from .schur import (
     Boundary,
@@ -61,6 +55,9 @@ from .schur import (
     ToleranceConfig,
     schur_parameters,
 )
+
+if TYPE_CHECKING:
+    from .regions import RegionRequest
 
 __all__ = ["main"]
 
@@ -163,6 +160,8 @@ def _check_size(flag: str, value: int, cap: float = math.inf, least: float = 0) 
 
 
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
+    from .regions import RegionRequest
+
     _check_size("--samples", args.samples, MAX_SAMPLES, least=-math.inf)
     data, domain = _load_input(args.input, args.domain)
     tol = ToleranceConfig(quad_tol=args.quad_tol)
@@ -189,6 +188,8 @@ class _NotInterior(Exception):
 
 
 def cmd_boundary(args) -> int:
+    from .regions import Jordan, convexity_defect, region
+
     request, _ = _interior_request(args)
     result = region(request)
     assert isinstance(result, Jordan)
@@ -206,6 +207,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .regions import containment_depths, oracle_samples, region
+
     _check_size("--count", args.count, MAX_COUNT)
     request, cls = _interior_request(args)
     payload: dict[str, object]
@@ -223,17 +226,19 @@ def cmd_sample(args) -> int:
             request.tol.quad_tol,
         )
         depths = containment_depths(result, [s.value for s in draws])
-        inside = int(np.sum(depths <= request.tol.geom_tol))
+        inside = int((depths <= request.tol.geom_tol).sum())
         payload = {
             "count": args.count,
             "inside": inside,
-            "max_signed_distance": float(np.max(depths)),
+            "max_signed_distance": float(depths.max()),
         }
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
     return EXIT_OK
 
 
-def _random_parameters(rng: np.random.Generator, max_order: int, radius: float):
+def _random_parameters(rng, max_order: int, radius: float):
+    import numpy as np
+
     n = int(rng.integers(0, max_order + 1))
     moduli = radius * np.sqrt(rng.random(n + 1))
     phases = 2.0 * np.pi * rng.random(n + 1)
@@ -241,6 +246,10 @@ def _random_parameters(rng: np.random.Generator, max_order: int, radius: float):
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .polynomials import identity_residuals
+
     _check_size("--draws", args.draws)
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)

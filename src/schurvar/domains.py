@@ -5,15 +5,15 @@ unit disk onto a convex domain, its inverse, and as ``derivative(w, w0=w)``
 the divided difference ``(P(w) - P(w0)) / (w - w0)``, formed without that
 subtraction (``P'(w)`` for one argument).  All callables accept complex
 scalars or numpy arrays and return the broadcast shape (scalars come back
-as ``complex``).
+as ``complex``).  numpy is imported when a map is first evaluated, not
+when a domain is built, so :func:`parse_domain` can check a label without
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import ContractViolation, DegenerateDenominator
 
@@ -37,6 +37,8 @@ class DomainMap:
 
 def _vectorized(fn: Callable) -> Callable:
     def call(*points):
+        import numpy as np
+
         out = fn(*(np.asarray(p, dtype=np.complex128) for p in points))
         if np.ndim(out) == 0:
             return complex(out)
@@ -51,8 +53,8 @@ def _divided_difference(fn: Callable) -> Callable:
     return lambda w, w0=None: vectorized(w, w if w0 is None else w0)
 
 
-def _check_denominator(values: np.ndarray, what: str) -> None:
-    if np.min(np.abs(values)) < _DENOM_FLOOR:
+def _check_denominator(values, what: str) -> None:
+    if abs(values).min() < _DENOM_FLOOR:
         raise DegenerateDenominator(what)
 
 
@@ -89,12 +91,16 @@ def disk(center: complex = 0.0, radius: float = 1.0) -> DomainMap:
     if not (r > 0.0):
         raise ContractViolation("disk radius must be positive")
     label = f"disk:{c.real:g},{c.imag:g},{r:g}"
+
+    def slope(w, w0):
+        import numpy as np
+
+        return np.full(np.broadcast(w, w0).shape, complex(r))
+
     return DomainMap(
         label=label,
         map=_vectorized(lambda z: c + r * z),
-        derivative=_divided_difference(
-            lambda w, w0: np.full(np.broadcast(w, w0).shape, complex(r))
-        ),
+        derivative=_divided_difference(slope),
         inverse=_vectorized(lambda w: (w - c) / r),
     )
 
@@ -112,11 +118,15 @@ def strip() -> DomainMap:
     """
 
     def fwd(z):
+        import numpy as np
+
         den = 1.0 - z
         _check_denominator(den, "strip map at z = 1")
         return np.log((1.0 + z) / den)
 
     def slope(w, w0):
+        import numpy as np
+
         den = (1.0 - w) * (1.0 + w0)
         _check_denominator(den, "strip derivative at z = +/-1")
         x = 2.0 * (w - w0) / den
@@ -126,6 +136,8 @@ def strip() -> DomainMap:
         return 2.0 * np.where(same, 1.0, log_u / np.where(same, 1.0, x)) / den
 
     def inv(w):
+        import numpy as np
+
         return np.tanh(w / 2.0)
 
     return DomainMap(

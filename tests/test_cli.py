@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import schurvar
-from schurvar import cli
+import schurvar.regions
 from schurvar.cli import MAX_COUNT, MAX_SAMPLES, main
 
 INTERIOR = {"coefficients": [[0.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
@@ -315,8 +314,9 @@ def refuse(*args, **kwargs):
 def test_sizes_above_their_caps_are_refused_before_computing(
     capsys, write_json, monkeypatch, command, flag, value
 ):
-    monkeypatch.setattr(cli, "region", refuse)
-    monkeypatch.setattr(cli, "oracle_samples", refuse)
+    # the handlers import these from their module when they run
+    monkeypatch.setattr(schurvar.regions, "region", refuse)
+    monkeypatch.setattr(schurvar.regions, "oracle_samples", refuse)
     argv = [command, "--input", write_json(INTERIOR), "--z0", "0.3", flag, str(value)]
     code = main(argv)
     err = capsys.readouterr().err

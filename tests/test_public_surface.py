@@ -72,3 +72,15 @@ def test_internals_stay_importable_from_their_modules():
     ):
         assert callable(getattr(module, name))
         assert not hasattr(schurvar, name)
+
+
+def test_resolved_names_follow_their_module_attribute(monkeypatch):
+    # the package resolves a name on each use and keeps none: the benchmark's
+    # tracer swaps module attributes, and a name resolved while one was
+    # swapped must not keep the swapped object once it is put back
+    original = regions.region
+    monkeypatch.setattr(regions, "region", len)
+    assert schurvar.region is len
+    monkeypatch.undo()
+    assert schurvar.region is original
+    assert "region" not in vars(schurvar)

@@ -1040,6 +1040,22 @@ def test_pruned_geometry_is_bit_identical_on_multi_block_polygons(shape):
         assert contains(v, w) == bool(unblocked_depths(v, np.array([w]))[0] <= 1e-6)
 
 
+def test_pruned_geometry_keeps_a_block_whose_bound_is_tight():
+    # The square turned by 0.008 rad, 128 points a side, has a corner at the
+    # base of block 0's middle edge.  A point outside the side that ends at
+    # that corner and inside the side that starts there is deepest under the
+    # first side: under block 0's edges before its middle one, tied with the
+    # middle edges of the blocks along that side.  Block 0's lower bound is
+    # then exact, so rounding can put it an ulp above the least upper bound
+    # while one of its edges holds the minimum's last bit; the slack keeps it
+    # (27 of these 171 points differ with a zero slack).
+    turn = np.exp(0.008j)
+    v = square_polygon(512) * turn
+    depth, along = np.meshgrid(np.arange(1, 10) / 20, np.arange(1, 20) / 20)
+    q = ((-depth + 1j * along) * turn).ravel()
+    assert np.array_equal(containment_depths(v, q), unblocked_depths(v, q))
+
+
 def test_geometry_keeps_non_finite_and_huge_queries():
     # a NaN or infinite bound decides nothing: those queries take the full row
     q = np.array([np.nan, np.inf, 1e200, -1e200j, complex(np.nan, 1.0), -np.inf, 0.1])

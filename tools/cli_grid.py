@@ -23,7 +23,11 @@ and 0.95; and the sizes the rest never asks for: ``boundary --samples
 z0 0.95, j -1 (a count that is not a power of two, resampled or
 integrated directly), ``boundary --samples 8`` (a count no larger than
 the first batch) and ``sample --count 0``, both on the half-plane input
-at z0 0.5, j 0.  The script exits 1 if any command exits non-zero.
+at z0 0.5, j 0.  Three refusals follow, for their exit codes and stderr:
+``classify`` on an input whose ``domain`` is the number 5 (exit 2),
+``boundary`` on boundary-class data (1, 0) (exit 3) and ``plot`` of a CSV
+whose row has two fields (exit 2).  The script exits 1 if any command
+exits with another code than the grid expects of it (0 for all the rest).
 """
 
 from __future__ import annotations
@@ -56,6 +60,18 @@ WEIGHTS = ("-1", "0", "2")
 ENDPOINTS = ("0.5", "0.3+0.4i", "0.85")
 #: The boundary that ``plot`` renders.
 PLOTTED = "boundary-half-plane-j0-z0.5"
+#: The files that the refusals read, written into OUTDIR as they stand.
+REFUSED_FILES = {
+    "label-5.json": json.dumps({"coefficients": [[0.0, 0.0], [0.5, 0.0]], "domain": 5}),
+    "boundary-class.json": json.dumps({"coefficients": [[1.0, 0.0], [0.0, 0.0]]}),
+    "malformed.csv": "theta,re,im\n0.0,1.0\n",
+}
+#: ``(name, argv, exit code)`` of each command that must be refused.
+REFUSALS = [
+    ("classify-label-5", ["classify", "--input", "../label-5.json"], 2),
+    ("boundary-boundary-class", ["boundary", "--input", "../boundary-class.json", "--z0=0.5"], 3),
+    ("plot-malformed", ["plot", "--input", "../malformed.csv", "--output", "curve.svg"], 2),
+]
 
 
 def grid() -> list[tuple[str, list[str]]]:
@@ -98,12 +114,14 @@ def run(outdir: Path, src: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for label, payload in INPUTS.items():
         (outdir / f"{label}.json").write_text(json.dumps(payload) + "\n")
+    for name, text in REFUSED_FILES.items():
+        (outdir / name).write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     failed = []
-    for name, argv in grid():
+    for name, argv, expected in [(name, argv, 0) for name, argv in grid()] + REFUSALS:
         workdir = outdir / name
         shutil.rmtree(workdir, ignore_errors=True)
         workdir.mkdir()
@@ -114,8 +132,8 @@ def run(outdir: Path, src: Path) -> int:
         (workdir / "exit_code").write_text(f"{proc.returncode}\n")
         (workdir / "stdout").write_bytes(proc.stdout)
         (workdir / "stderr").write_bytes(proc.stderr)
-        if proc.returncode != 0:
-            failed.append(f"{name}: exit {proc.returncode}")
+        if proc.returncode != expected:
+            failed.append(f"{name}: exit {proc.returncode}, expected {expected}")
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0
