@@ -75,7 +75,7 @@ EXIT_NUMERICAL_FAILURE = 4
 MAX_SAMPLES = 65536
 #: Largest ``--count``.  The oracle builds (count x nodes) complex arrays
 #: one Blaschke zero column at a time, with up to 48 nodes per rule pair:
-#: ``sample`` peaks near 59 MB here at |z0| = 0.5 and 91 MB at 0.9, where
+#: ``sample`` peaks near 57 MB here at |z0| = 0.5 and 85 MB at 0.9, where
 #: the pair is largest (same data).
 MAX_COUNT = 10000
 _VERIFY_LAWS = ("mirror", "determinant", "coercivity", "domination")

@@ -12,6 +12,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,22 +36,30 @@ class DomainMap:
     inverse: Callable
 
 
-def _vectorized(fn: Callable) -> Callable:
-    def call(*points):
+def _domain(label: str, fwd: Callable, slope: Callable, inv: Callable) -> DomainMap:
+    """The :class:`DomainMap` of ``fwd(z)``, its divided difference
+    ``slope(w, w0)`` and its inverse ``inv(w)``, each written for complex
+    arrays.  The callables take scalars or arrays, ``derivative`` takes
+    ``w0 = w`` when it is not given, and a 0-d result comes back as
+    ``complex``."""
+
+    def vectorized(fn: Callable) -> Callable:
+        def call(z):
+            import numpy as np
+
+            out = fn(np.asarray(z, dtype=np.complex128))
+            return complex(out) if np.ndim(out) == 0 else out
+
+        return call
+
+    def derivative(w, w0=None):
         import numpy as np
 
-        out = fn(*(np.asarray(p, dtype=np.complex128) for p in points))
-        if np.ndim(out) == 0:
-            return complex(out)
-        return out
+        w = np.asarray(w, dtype=np.complex128)
+        out = slope(w, w if w0 is None else np.asarray(w0, dtype=np.complex128))
+        return complex(out) if np.ndim(out) == 0 else out
 
-    return call
-
-
-def _divided_difference(fn: Callable) -> Callable:
-    """``fn(w, w0)`` vectorized as ``derivative(w, w0=w)``."""
-    vectorized = _vectorized(fn)
-    return lambda w, w0=None: vectorized(w, w if w0 is None else w0)
+    return DomainMap(label, vectorized(fwd), derivative, vectorized(inv))
 
 
 def _check_denominator(values, what: str) -> None:
@@ -76,33 +85,25 @@ def half_plane() -> DomainMap:
         _check_denominator(den, "half-plane inverse at w = -1")
         return (w - 1.0) / den
 
-    return DomainMap(
-        label="half-plane",
-        map=_vectorized(fwd),
-        derivative=_divided_difference(slope),
-        inverse=_vectorized(inv),
-    )
+    return _domain("half-plane", fwd, slope, inv)
 
 
 def disk(center: complex = 0.0, radius: float = 1.0) -> DomainMap:
     """Affine disk target: ``P(z) = center + radius * z``."""
     c = complex(center)
     r = float(radius)
-    if not (r > 0.0):
-        raise ContractViolation("disk radius must be positive")
-    label = f"disk:{c.real:g},{c.imag:g},{r:g}"
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ContractViolation("disk centre must be finite")
+    if not (0.0 < r < math.inf):
+        raise ContractViolation("disk radius must be positive and finite")
 
     def slope(w, w0):
         import numpy as np
 
         return np.full(np.broadcast(w, w0).shape, complex(r))
 
-    return DomainMap(
-        label=label,
-        map=_vectorized(lambda z: c + r * z),
-        derivative=_divided_difference(slope),
-        inverse=_vectorized(lambda w: (w - c) / r),
-    )
+    label = f"disk:{c.real:g},{c.imag:g},{r:g}"
+    return _domain(label, lambda z: c + r * z, slope, lambda w: (w - c) / r)
 
 
 def strip() -> DomainMap:
@@ -140,12 +141,7 @@ def strip() -> DomainMap:
 
         return np.tanh(w / 2.0)
 
-    return DomainMap(
-        label="strip",
-        map=_vectorized(fwd),
-        derivative=_divided_difference(slope),
-        inverse=_vectorized(inv),
-    )
+    return _domain("strip", fwd, slope, inv)
 
 
 def parse_domain(label: str) -> DomainMap:

@@ -165,10 +165,9 @@ RegionResult = Empty | SinglePoint | Jordan
 
 @dataclass(frozen=True)
 class OracleSample:
-    """One random member of the region, with its generating data."""
+    """One random member of the region and the Blaschke product that
+    generates it: its zeros (as many as its degree) and front factor."""
 
-    seed: int
-    blaschke_degree: int
     zeros: tuple[complex, ...]
     unimodular_factor: complex
     value: complex
@@ -232,7 +231,7 @@ def q_value(
     z0: complex,
     epsilon,
     domain: DomainMap,
-    quad_tol: float = 1e-10,
+    quad_tol: float = ToleranceConfig.quad_tol,
 ):
     """Integrate the extremal integrand along ``[0, z0]`` for ``epsilon``,
     a scalar or a column of epsilons (one value per row).
@@ -274,7 +273,7 @@ def boundary_curve(
     z0: complex,
     domain: DomainMap,
     n_samples: int,
-    quad_tol: float = 1e-10,
+    quad_tol: float = ToleranceConfig.quad_tol,
 ) -> Jordan:
     """The region's :class:`Jordan`: the extremal values at ``n_samples``
     equispaced unimodular epsilons, ``angles[k] = 2 pi k / n_samples``, and
@@ -434,11 +433,11 @@ def log_derivative_curve(lam: float, z0: complex, theta):
         -(1 + lam c / R) log(1 - e^{i theta/2} z0 / (i lam s + R))
 
     with principal logarithms.  Both log arguments live in the disk of
-    radius ``|z0|`` around 1 (the two poles are unimodular), so the branch
-    cut is unreachable for valid inputs; the guard raises BranchCutHit if
-    rounding ever lands an argument on ``(-inf, 0]``.  ``theta`` may be a
-    scalar or an array; for ``lam = 0`` the curve collapses to
-    ``-log(1 - e^{i theta} z0^2)``.
+    radius ``|z0|`` around 1 (the two poles are unimodular), so only a
+    ``z0`` within about 1e-14 of the circle brings one near the branch cut;
+    the guard raises BranchCutHit when an argument lies within 1e-14 of
+    ``(-inf, 0]``.  ``theta`` may be a scalar or an array; for ``lam = 0``
+    the curve collapses to ``-log(1 - e^{i theta} z0^2)``.
     """
     lam = _check_lam(lam)
     z0 = _check_endpoint(z0)
@@ -544,7 +543,7 @@ def oracle_samples(
     z0: complex,
     seed: int,
     count: int,
-    quad_tol: float = 1e-10,
+    quad_tol: float = ToleranceConfig.quad_tol,
 ) -> list[OracleSample]:
     """Draw ``count`` random members of the region, deterministically.
 
@@ -581,13 +580,7 @@ def oracle_samples(
 
     values = np.atleast_1d(integrate_segment(f, z0, quad_tol))
     return [
-        OracleSample(
-            seed=int(seed),
-            blaschke_degree=degree,
-            zeros=tuple(zeros[:degree]),
-            unimodular_factor=front,
-            value=value,
-        )
+        OracleSample(tuple(zeros[:degree]), front, value)
         for degree, zeros, front, value in zip(
             degrees, zeros_mat.tolist(), fronts.tolist(), values.tolist()
         )
@@ -726,7 +719,7 @@ def containment_depths(result, points) -> np.ndarray:
     return _outward_depths(v, q)
 
 
-def contains(result, w, geom_tol: float = 1e-6) -> bool:
+def contains(result, w, geom_tol: float = ToleranceConfig.geom_tol) -> bool:
     """Point-in-convex-polygon test against the sampled boundary.
 
     Accepts points up to ``geom_tol`` outside an edge, absorbing both

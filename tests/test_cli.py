@@ -144,8 +144,9 @@ def test_bad_domain_label(capsys, write_json):
         ["boundary", "--input", path, "--z0", "0.3", "--domain", "banana"],
     )
     assert code == 2
-    # a label in the input file that is not a string
-    for label in (5, None):
+    # a label in the input file that is not a string, or a disk whose centre
+    # or radius is not finite
+    for label in (5, None, "disk:nan,0,1", "disk:0,0,inf"):
         path = write_json({**INTERIOR, "domain": label})
         for argv in (["classify"], ["boundary", "--z0", "0.3"]):
             code = main([*argv, "--input", path])

@@ -51,6 +51,16 @@ def test_disk_rejects_nonpositive_radius():
         disk(0.0, -1.0)
 
 
+def test_disk_rejects_a_non_finite_centre_or_radius():
+    nan, inf = math.nan, math.inf
+    for center, radius in ((nan, 1.0), (complex(0.0, inf), 1.0), (0.0, inf), (0.0, nan)):
+        with pytest.raises(ContractViolation):
+            disk(center, radius)
+    for label in ("disk:nan,0,1", "disk:0,-inf,1", "disk:0,0,inf"):
+        with pytest.raises(ContractViolation):
+            parse_domain(label)
+
+
 def test_strip_frozen_values():
     s = strip()
     assert s.map(0.0) == 0.0

@@ -667,7 +667,7 @@ def test_oracle_draws_equal_one_uniform_call_per_factor():
         rng = np.random.default_rng(seed)
         for got in draws:
             degree, zeros, front = three_call_draw(rng)
-            assert got.blaschke_degree == degree
+            assert len(got.zeros) == degree
             assert got.zeros == tuple(zeros.tolist())
             assert got.unimodular_factor == front
 
@@ -731,9 +731,7 @@ def test_oracle_draw_shapes():
     samples = oracle_samples((0.3, 0.1j), strip(), 0, 0.4, seed=5, count=30)
     assert len(samples) == 30
     for s in samples:
-        assert s.seed == 5
-        assert s.blaschke_degree == len(s.zeros)
-        assert s.blaschke_degree <= 6
+        assert len(s.zeros) <= 6
         assert all(abs(z) <= 0.95 + 1e-12 for z in s.zeros)
         assert abs(abs(s.unimodular_factor) - 1.0) < 1e-12
 
@@ -744,7 +742,7 @@ def test_degenerate_draw_reduces_to_constant_epsilon():
     for seed in range(60):
         if int(np.random.default_rng(seed).integers(0, 7)) == 0:
             got = oracle_samples(gamma, half_plane(), -1, Z0, seed=seed, count=1)[0]
-            assert got.blaschke_degree == 0
+            assert len(got.zeros) == 0
             want = q_value(s, -1, Z0, got.unimodular_factor, half_plane())
             assert abs(got.value - want) < 1e-9
             break
@@ -1152,5 +1150,9 @@ def test_geometry_rejects_degenerate_inputs():
 
 
 def test_branch_cut_guard_is_exported():
-    # the guard is unreachable for valid inputs; validate the name exists
     assert issubclass(BranchCutHit, Exception)
+    # at theta = 0 one logarithm's argument is 1 - z0 = 2**-53, within the
+    # guard's 1e-14 of the cut, although z0 is valid
+    for lam in (0.0, 0.5):
+        with pytest.raises(BranchCutHit):
+            log_derivative_curve(lam, 1 - 2**-53, 0.0)

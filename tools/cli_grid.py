@@ -23,11 +23,14 @@ and 0.95; and the sizes the rest never asks for: ``boundary --samples
 z0 0.95, j -1 (a count that is not a power of two, resampled or
 integrated directly), ``boundary --samples 8`` (a count no larger than
 the first batch) and ``sample --count 0``, both on the half-plane input
-at z0 0.5, j 0.  Three refusals follow, for their exit codes and stderr:
+at z0 0.5, j 0.  Four refusals follow, for their exit codes and stderr:
 ``classify`` on an input whose ``domain`` is the number 5 (exit 2),
-``boundary`` on boundary-class data (1, 0) (exit 3) and ``plot`` of a CSV
-whose row has two fields (exit 2).  The script exits 1 if any command
-exits with another code than the grid expects of it (0 for all the rest).
+``boundary`` on boundary-class data (1, 0) (exit 3), ``plot`` of a CSV
+whose row has two fields (exit 2) and ``boundary --domain disk:0,0,inf``
+on the half-plane input at z0 0.5 (exit 2).  The script exits 1 if any
+command exits with another code than the grid expects of it (0 for all
+the rest), or prints a Python warning line (``file:line: ...Warning: ...``)
+on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -71,7 +75,14 @@ REFUSALS = [
     ("classify-label-5", ["classify", "--input", "../label-5.json"], 2),
     ("boundary-boundary-class", ["boundary", "--input", "../boundary-class.json", "--z0=0.5"], 3),
     ("plot-malformed", ["plot", "--input", "../malformed.csv", "--output", "curve.svg"], 2),
+    (
+        "boundary-infinite-disk",
+        ["boundary", "--input", "../half-plane.json", "--z0=0.5", "--domain", "disk:0,0,inf"],
+        2,
+    ),
 ]
+#: A line that the ``warnings`` module prints: ``file:line: CategoryWarning: text``.
+WARNING_LINE = re.compile(rb"^\S.*:\d+: \w*Warning: ", re.MULTILINE)
 
 
 def grid() -> list[tuple[str, list[str]]]:
@@ -134,6 +145,8 @@ def run(outdir: Path, src: Path) -> int:
         (workdir / "stderr").write_bytes(proc.stderr)
         if proc.returncode != expected:
             failed.append(f"{name}: exit {proc.returncode}, expected {expected}")
+        if WARNING_LINE.search(proc.stderr):
+            failed.append(f"{name}: a Python warning on stderr")
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0
