@@ -21,8 +21,8 @@ Exit codes: 0 success, 1 property failure (verify), 2 malformed input,
 3 classification mismatch (region commands on non-interior data),
 4 numerical failure (quadrature or geometry).  ``--samples`` is capped
 at ``MAX_SAMPLES`` and ``--count`` at ``MAX_COUNT``, so that no request can
-exhaust memory; larger values, and a negative ``--count`` or ``--draws``,
-exit 2 before anything is computed.  All output is
+exhaust memory; larger values, a negative ``--count`` and a ``--draws``
+below 1 exit 2 before anything is computed.  All output is
 deterministic for fixed input bytes, flags, and seed.
 
 Complex values serialize as two-element ``[re, im]`` arrays in JSON and
@@ -154,7 +154,8 @@ def _check_size(flag: str, value: int, cap: float = math.inf, least: float = 0) 
     """Refuse a size flag outside [least, cap] before anything is computed
     (``--samples`` has no least here: RegionRequest needs 4 and says so)."""
     if value < least:
-        raise ValueError(f"{flag} must be non-negative, got {value}")
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{flag} must be {bound}, got {value}")
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
 
@@ -250,7 +251,7 @@ def cmd_verify(args) -> int:
 
     from .polynomials import identity_residuals
 
-    _check_size("--draws", args.draws)
+    _check_size("--draws", args.draws, least=1)
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)
     for _ in range(args.draws):
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the polynomial-law suites")
     p_verify.add_argument("--seed", type=int, default=42, help="RNG seed")
     p_verify.add_argument(
-        "--draws", type=int, default=100, help="number of random parameter draws"
+        "--draws", type=int, default=100, help="number of random parameter draws (at least 1)"
     )
     p_verify.set_defaults(handler=cmd_verify)
 

@@ -36,7 +36,10 @@ whose center and radius are returned by :func:`variability_disk`.
 
 The quadruple is stored as one ``(4, n+1)`` complex array with rows ``A``,
 ``B``, ``At``, ``Bt`` (ascending coefficients), which :func:`eval_poly`
-evaluates in one Horner pass.
+evaluates in one Horner pass.  :func:`build_polynomials` advances the pair
+``(A, At)`` and the pair ``(B, Bt)`` as two stacked rows, so each parameter
+costs one shift and two array updates; :func:`identity_residuals` evaluates
+all four rows on a fixed polar grid and its reflection ``1/conj(z)`` at once.
 """
 
 from __future__ import annotations
@@ -53,9 +56,13 @@ from .schur import check_parameters
 __all__ = ["SchurPolynomialSet", "build_polynomials", "identity_residuals"]
 
 #: The polar grid of :func:`identity_residuals`: three radii, the last on
-#: the circle, times 64 equispaced angles.
+#: the circle, times 64 equispaced angles, followed by its reflection
+#: ``1/conj(z)``.
 _RESIDUAL_RADII = (0.3, 0.7, 1.0)
 _RESIDUAL_ANGLES = 64
+_RING = np.exp(1j * (2.0 * np.pi * np.arange(_RESIDUAL_ANGLES) / _RESIDUAL_ANGLES))
+_RESIDUAL_GRID = np.concatenate([r * _RING for r in _RESIDUAL_RADII])
+_RESIDUAL_POINTS = np.concatenate((_RESIDUAL_GRID, 1.0 / np.conjugate(_RESIDUAL_GRID)))
 
 
 def eval_poly(coeffs: np.ndarray | Sequence[complex], z):
@@ -124,27 +131,23 @@ def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
     """Run the recurrence for interior parameters (finite, all ``|gamma_k| < 1``)."""
     gams = check_parameters(gamma)
     n = len(gams) - 1
-    a = np.zeros(n + 1, dtype=np.complex128)
-    b = np.zeros(n + 1, dtype=np.complex128)
-    at = np.zeros(n + 1, dtype=np.complex128)
-    bt = np.zeros(n + 1, dtype=np.complex128)
-    a[0] = gams[0].conjugate()
-    b[0] = 1.0
-    at[0] = 1.0
-    bt[0] = gams[0]
-
-    def shifted(p: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(p)
-        out[1:] = p[:-1]
-        return out
-
-    for k in range(1, n + 1):
-        g = gams[k]
-        gbar = g.conjugate()
-        za, zat = shifted(a), shifted(at)
-        a, at, b, bt = za + gbar * b, zat + gbar * bt, g * za + b, g * zat + bt
-
-    coeffs = np.stack((a, b, at, bt))
+    g0 = gams[0]
+    if n == 0:
+        coeffs = np.array([[g0.conjugate()], [1.0], [1.0], [g0]], dtype=np.complex128)
+    else:
+        # rows: top (A, At), bottom (B, Bt); shifted is top times z
+        top = np.zeros((2, n + 1), dtype=np.complex128)
+        bottom = np.zeros((2, n + 1), dtype=np.complex128)
+        shifted = np.zeros((2, n + 1), dtype=np.complex128)
+        top[:, 0] = (g0.conjugate(), 1.0)
+        bottom[:, 0] = (1.0, g0)
+        for g in gams[1:]:
+            shifted[:, 1:] = top[:, :-1]
+            top = shifted + g.conjugate() * bottom
+            bottom = g * shifted + bottom
+        coeffs = np.empty((4, n + 1), dtype=np.complex128)
+        coeffs[0::2] = top
+        coeffs[1::2] = bottom
     coeffs.flags.writeable = False
     return SchurPolynomialSet(gamma=gams, coeffs=coeffs)
 
@@ -184,7 +187,7 @@ def variability_disk(set_: SchurPolynomialSet, z) -> VariabilityDisk:
     distance ``|eps| * radius`` from the center, hence strictly inside.
     """
     zc = complex(z)
-    if abs(zc) >= 1.0:
+    if not abs(zc) < 1.0:  # also rejects NaN
         raise ContractViolation("variability_disk requires |z| < 1")
     av, bv, atv, btv = eval_poly(set_.coeffs, zc).tolist()
     zsq = abs(zc) ** 2
@@ -200,15 +203,16 @@ def identity_residuals(gamma: Sequence[complex]) -> dict[str, float]:
     Returns absolute mismatches for the two identities ("mirror",
     "determinant") and constraint violations, clipped at zero, for the two
     inequalities ("coercivity", "domination").  A clean implementation
-    reports values at rounding level for all four.
+    reports values at rounding level for all four.  The one Horner pass
+    over the grid and its reflection also evaluates ``At`` and ``Bt`` at the
+    reflection, which no law reads.
     """
     set_ = build_polynomials(gamma)
-    n = set_.order
-    ring = np.exp(1j * (2.0 * np.pi * np.arange(_RESIDUAL_ANGLES) / _RESIDUAL_ANGLES))
-    z = np.concatenate([r * ring for r in _RESIDUAL_RADII])
-    av, bv, atv, btv = eval_poly(set_.coeffs, z)
-    a_inv, b_inv = eval_poly(set_.coeffs[:2], 1.0 / np.conjugate(z))
-    zn = z**n
+    z = _RESIDUAL_GRID
+    values = eval_poly(set_.coeffs, _RESIDUAL_POINTS)
+    av, bv, atv, btv = values[:, : len(z)]
+    a_inv, b_inv = values[:2, len(z) :]
+    zn = z**set_.order
     mirror = max(
         float(np.max(np.abs(atv - zn * np.conjugate(b_inv)))),
         float(np.max(np.abs(btv - zn * np.conjugate(a_inv)))),

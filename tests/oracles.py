@@ -1,8 +1,9 @@
 """Independent reference forms that the tests check the package against.
 
-None of these is part of the product: the nested Möbius form of the
-interpolant, the convex hull, the point-to-polyline distance and the
-Hausdorff distance only cross-check the regions and interpolants that
+None of these is part of the product: the per-row recurrence of the
+polynomial quadruple, the nested Möbius form of the interpolant, the
+convex hull, the point-to-polyline distance and the Hausdorff distance
+only cross-check the polynomials, regions and interpolants that
 ``schurvar`` computes.  The distance is the plain formula over the whole
 (queries x segments) matrix, so its memory grows with their product: keep
 its inputs to a few thousand points a side.
@@ -16,6 +17,34 @@ from schurvar.errors import ContractViolation, DegenerateDenominator
 
 #: Denominators smaller than this are treated as exact zeros.
 _DENOM_FLOOR = 1e-300
+
+
+def polynomial_rows(gamma: Sequence[complex]) -> np.ndarray:
+    """The ``(4, n+1)`` rows ``A``, ``B``, ``At``, ``Bt`` of the recurrence,
+    each advanced as its own array (four arrays, two shifted copies per
+    parameter), for checking the stacked form bit for bit."""
+    gams = tuple(complex(g) for g in gamma)
+    n = len(gams) - 1
+    a = np.zeros(n + 1, dtype=np.complex128)
+    b = np.zeros(n + 1, dtype=np.complex128)
+    at = np.zeros(n + 1, dtype=np.complex128)
+    bt = np.zeros(n + 1, dtype=np.complex128)
+    a[0] = gams[0].conjugate()
+    b[0] = 1.0
+    at[0] = 1.0
+    bt[0] = gams[0]
+
+    def shifted(p: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(p)
+        out[1:] = p[:-1]
+        return out
+
+    for k in range(1, n + 1):
+        g = gams[k]
+        gbar = g.conjugate()
+        za, zat = shifted(a), shifted(at)
+        a, at, b, bt = za + gbar * b, zat + gbar * bt, g * za + b, g * zat + bt
+    return np.stack((a, b, at, bt))
 
 
 def mobius(a, z):

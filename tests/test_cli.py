@@ -383,6 +383,16 @@ def test_verify_refuses_a_negative_draw_count(capsys):
     assert captured.err.startswith("invalid input:")
 
 
+def test_verify_refuses_zero_draws(capsys):
+    # zero draws would print PASS for every law after checking nothing
+    code = main(["verify", "--draws", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_is_deterministic(capsys):
     _, first = run(capsys, ["verify", "--seed", "9", "--draws", "10"])
     _, second = run(capsys, ["verify", "--seed", "9", "--draws", "10"])

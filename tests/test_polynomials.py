@@ -16,7 +16,7 @@ from schurvar import (
 )
 from schurvar.polynomials import eval_poly, lift, variability_disk
 
-from oracles import omega_nested
+from oracles import omega_nested, polynomial_rows
 
 
 def disk_points(radius: float):
@@ -74,6 +74,19 @@ def test_build_seed_values_hold_for_random_parameters():
         assert s.coeffs[3, 0] == gamma[0]
         # top polynomial is monic of exact degree n
         assert abs(s.coeffs[2, -1] - 1.0) < 1e-14
+
+
+def test_stacked_recurrence_is_bit_identical_to_the_per_row_one():
+    # tobytes tells -0.0 from +0.0, which array_equal does not
+    rng = np.random.default_rng(41)
+    cases = [(0.0,) * (n + 1) for n in range(61)]
+    cases += [tuple(0.999 * np.exp(2j * np.pi * rng.random(n + 1))) for n in range(61)]
+    cases += [disk_draw(rng, n + 1, 0.95) for n in range(61) for _ in range(5)]
+    for gamma in cases:
+        got = build_polynomials(gamma).coeffs
+        want = polynomial_rows(gamma)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_coefficients_are_read_only_and_sets_compare_on_gamma():
@@ -168,6 +181,44 @@ def test_law_residuals_on_random_parameters():
         assert res["determinant"] < 1e-10
         assert res["coercivity"] < 1e-10
         assert res["domination"] < 1e-10
+
+
+def two_call_residuals(gamma):
+    """``identity_residuals`` as it was: the grid built per call, the four
+    rows evaluated on it and ``A``, ``B`` on its reflection in a second pass."""
+    s = build_polynomials(gamma)
+    n = s.order
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+    z = np.concatenate([r * ring for r in (0.3, 0.7, 1.0)])
+    av, bv, atv, btv = eval_poly(s.coeffs, z)
+    a_inv, b_inv = eval_poly(s.coeffs[:2], 1.0 / np.conjugate(z))
+    zn = z**n
+    mirror = max(
+        float(np.max(np.abs(atv - zn * np.conjugate(b_inv)))),
+        float(np.max(np.abs(btv - zn * np.conjugate(a_inv)))),
+    )
+    prod = s.contraction_product
+    return {
+        "mirror": mirror,
+        "determinant": float(np.max(np.abs(atv * bv - av * btv - zn * prod))),
+        "coercivity": float(max(0.0, np.max(prod - (np.abs(bv) ** 2 - np.abs(av) ** 2)))),
+        "domination": float(max(0.0, np.max(np.abs(btv) - np.abs(bv)))),
+    }
+
+
+def test_one_pass_residuals_equal_the_two_call_form():
+    rng = np.random.default_rng(43)
+    cases = [disk_draw(rng, n + 1, 0.95) for n in range(41) for _ in range(3)]
+    cases += [(0.0,) * 5, (0.999,) * 9]
+    for gamma in cases:
+        assert identity_residuals(gamma) == two_call_residuals(gamma)
+
+
+def test_residuals_stay_finite_at_order_500():
+    # the reflected rows grow like (1/0.3)**n; both forms first overflow at
+    # order 550, and evaluating At and Bt there too must not bring it earlier
+    res = identity_residuals((0.5,) * 501)
+    assert all(math.isfinite(v) for v in res.values())
 
 
 def test_law_suite_rejects_non_contractive_input():
@@ -363,6 +414,12 @@ def test_disk_order_zero_hand_value():
 def test_disk_rejects_boundary_point():
     with pytest.raises(ContractViolation):
         variability_disk(build_polynomials((0.5,)), 1.0)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_disk_rejects_a_nan_point(z):
+    with pytest.raises(ContractViolation):
+        variability_disk(build_polynomials((0.3, 0.2j)), z)
 
 
 def test_extremal_values_lie_exactly_on_the_disk_boundary():

@@ -23,11 +23,12 @@ and 0.95; and the sizes the rest never asks for: ``boundary --samples
 z0 0.95, j -1 (a count that is not a power of two, resampled or
 integrated directly), ``boundary --samples 8`` (a count no larger than
 the first batch) and ``sample --count 0``, both on the half-plane input
-at z0 0.5, j 0.  Four refusals follow, for their exit codes and stderr:
+at z0 0.5, j 0.  Five refusals follow, for their exit codes and stderr:
 ``classify`` on an input whose ``domain`` is the number 5 (exit 2),
 ``boundary`` on boundary-class data (1, 0) (exit 3), ``plot`` of a CSV
-whose row has two fields (exit 2) and ``boundary --domain disk:0,0,inf``
-on the half-plane input at z0 0.5 (exit 2).  The script exits 1 if any
+whose row has two fields (exit 2), ``boundary --domain disk:0,0,inf``
+on the half-plane input at z0 0.5 (exit 2) and ``verify --draws 0``
+(exit 2).  The script exits 1 if any
 command exits with another code than the grid expects of it (0 for all
 the rest), or prints a Python warning line (``file:line: ...Warning: ...``)
 on stderr.
@@ -80,6 +81,7 @@ REFUSALS = [
         ["boundary", "--input", "../half-plane.json", "--z0=0.5", "--domain", "disk:0,0,inf"],
         2,
     ),
+    ("verify-zero-draws", ["verify", "--draws", "0"], 2),
 ]
 #: A line that the ``warnings`` module prints: ``file:line: CategoryWarning: text``.
 WARNING_LINE = re.compile(rb"^\S.*:\d+: \w*Warning: ", re.MULTILINE)
