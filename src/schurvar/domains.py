@@ -133,8 +133,7 @@ def strip() -> DomainMap:
         x = 2.0 * (w - w0) / den
         xr, xi = x.real, x.imag
         log_u = 0.5 * np.log1p(xr * (xr + 2.0) + xi * xi) + 1j * np.arctan2(xi, 1.0 + xr)
-        same = x == 0
-        return 2.0 * np.where(same, 1.0, log_u / np.where(same, 1.0, x)) / den
+        return 2.0 * np.divide(log_u, x, out=np.ones_like(log_u), where=x != 0) / den
 
     def inv(w):
         import numpy as np

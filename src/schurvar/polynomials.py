@@ -80,7 +80,8 @@ def eval_poly(coeffs: np.ndarray | Sequence[complex], z):
     zarr = np.asarray(z, dtype=np.complex128)
     rows = c.shape[:-1]
     # cols[k] holds coefficient k of every row, shaped to broadcast against z
-    cols = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * zarr.ndim)
+    cols = c.transpose((c.ndim - 1, *range(c.ndim - 1)))
+    cols = cols.reshape(c.shape[-1:] + rows + (1,) * zarr.ndim)
     acc = np.zeros(rows + zarr.shape, dtype=np.complex128) + cols[-1]
     for col in cols[-2::-1]:
         acc = acc * zarr + col
@@ -120,9 +121,10 @@ class SchurPolynomialSet:
         ``Bt(0) = gamma_0`` and ``B(0) = 1``."""
         a, b, at, bt = self.coeffs
         g0 = self.gamma[0]
-        shifted = np.zeros_like(b)
-        shifted[:-1] = bt[1:] - g0 * b[1:]
-        rows = np.stack((a, b, at - g0 * a, shifted))
+        rows = np.zeros_like(self.coeffs)
+        rows[:2] = self.coeffs[:2]
+        np.subtract(at, np.multiply(g0, a, out=rows[2]), out=rows[2])
+        np.subtract(bt[1:], np.multiply(g0, b[1:], out=rows[3, :-1]), out=rows[3, :-1])
         rows.flags.writeable = False
         return rows
 

@@ -67,7 +67,7 @@ def _refine(f: Callable, a: float, b: float, whole, tol: float, depth_left: int)
     mid = 0.5 * (a + b)
     left = _panel(f, a, mid)
     right = _panel(f, mid, b)
-    err = float(np.max(np.abs(left + right - whole)))
+    err = float(abs(left + right - whole).max())
     if err <= tol:
         return left + right
     if depth_left <= 0:
@@ -129,7 +129,7 @@ def integrate_segment(f: Callable, z0: complex, tol: float):
         values = on_unit(nodes)
         coarse = _contract(values[..., :m], w_coarse)
         fine = _contract(values[..., m:], w_fine)
-        if float(np.max(np.abs(fine - coarse))) <= budget:
+        if float(abs(fine - coarse).max()) <= budget:
             return z0 * fine
     whole = _panel(on_unit, 0.0, 1.0)
     return z0 * _refine(on_unit, 0.0, 1.0, whole, budget, _MAX_DEPTH)

@@ -262,8 +262,8 @@ def _equispaced_values(
     """Extremal values at the ``count`` epsilons ``exp(2 pi i (k + shift) /
     count)``, and with ``witness`` at ``epsilon = 0`` as one more row, in one
     batch: shared panels, refined until the worst member converges."""
-    eps = np.exp(2j * np.pi * ((np.arange(count) + shift) / count))
-    rows = np.append(eps, 0.0) if witness else eps
+    rows = np.zeros(count + witness, dtype=np.complex128)  # the witness row is 0
+    np.exp(2j * np.pi * ((np.arange(count) + shift) / count), out=rows[:count])
     return q_value(set_, j, z0, rows[:, None], domain, quad_tol)
 
 
@@ -334,7 +334,7 @@ def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):
     """
     m = len(values)
     coeffs = np.fft.fft(values) / m
-    if np.max(np.abs(coeffs[m // 2 :])) > quad_tol:
+    if abs(coeffs[m // 2 :]).max() > quad_tol:
         return None
     kept = min(m, n_samples)
     folded = np.zeros(n_samples, dtype=np.complex128)
@@ -355,8 +355,8 @@ def _validate_polygon(points: np.ndarray, geom_tol: float) -> None:
     NaN) and wind exactly once; anything else signals a numerical fault.
     """
     sine, angle = _turns(_loop(points)[1])
-    winding = float(np.sum(angle) / (2.0 * np.pi))
-    if not float(np.min(sine)) >= -geom_tol:
+    winding = float(angle.sum() / (2.0 * np.pi))
+    if not float(sine.min()) >= -geom_tol:
         raise GeometryDegenerate(
             "boundary polygon is non-convex beyond tolerance; "
             "the extremal curve should be convex"
@@ -605,7 +605,9 @@ def _loop(obj) -> tuple[np.ndarray, np.ndarray]:
     """A closed polygon's vertices and the edge leaving each, in curve order;
     a run of equal consecutive vertices, wrapping or not, counts as one."""
     v = _vertices(obj)
-    edges = np.roll(v, -1) - v
+    edges = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=edges[:-1])
+    edges[-1] = v[0] - v[-1]
     keep = np.abs(edges) > 0.0
     if np.count_nonzero(keep) < _MIN_POLYGON_POINTS:
         raise GeometryDegenerate("polygon has fewer than 3 distinct vertices")
@@ -614,7 +616,7 @@ def _loop(obj) -> tuple[np.ndarray, np.ndarray]:
 
 def _turns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sine and the angle of the turn from each edge to the next."""
-    following = np.roll(edges, -1)
+    following = np.concatenate((edges[1:], edges[:1]))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # NaN on underflow
         sine = np.imag(np.conjugate(edges) * following) / (np.abs(edges) * np.abs(following))
         return sine, np.angle(following / edges)
@@ -661,7 +663,7 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     bit for bit.  A point with a non-finite bound takes every block.
     Points go in passes of ``_BOUND_ELEMENTS // blocks``.
     """
-    shoelace = float(np.sum(np.imag(np.conjugate(v) * np.roll(v, -1))))
+    shoelace = float((np.conjugate(v) * np.concatenate((v[1:], v[:1]))).imag.sum())
     orient = 1.0 if shoelace >= 0.0 else -1.0
     base, e = _loop(v)
     conj_e = np.conjugate(e)
@@ -712,10 +714,13 @@ def containment_depths(result, points) -> np.ndarray:
     blocks of ``_EDGE_BLOCK`` edges per point near the boundary (5 % of
     q * N for the sample pipeline's draws against 4096 vertices); a point
     nearly equidistant from every edge, such as the centre of a regular
-    polygon, keeps them all.  Memory does not grow with q.
+    polygon, keeps them all.  Memory does not grow with q.  ``points`` is
+    one point or a 1-D sequence of them.
     """
     v = _vertices(result)
     q = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    if q.ndim != 1:
+        raise ContractViolation("containment points must be a scalar or a 1-D sequence")
     return _outward_depths(v, q)
 
 
@@ -724,8 +729,10 @@ def contains(result, w, geom_tol: float = ToleranceConfig.geom_tol) -> bool:
 
     Accepts points up to ``geom_tol`` outside an edge, absorbing both
     quadrature error and the gap between the inscribed polygon and the
-    true curve.  ``result`` is a Jordan region or a vertex sequence.
+    true curve.  ``result`` is a Jordan region or a vertex sequence;
+    ``geom_tol`` is checked as in :class:`ToleranceConfig`.
     """
+    ToleranceConfig(geom_tol=geom_tol)  # raises on a bad geom_tol
     return bool(containment_depths(result, complex(w))[0] <= geom_tol)
 
 

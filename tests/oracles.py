@@ -4,7 +4,10 @@ None of these is part of the product: the per-row recurrence of the
 polynomial quadruple, the nested Möbius form of the interpolant, the
 convex hull, the point-to-polyline distance and the Hausdorff distance
 only cross-check the polynomials, regions and interpolants that
-``schurvar`` computes.  The distance is the plain formula over the whole
+``schurvar`` computes.  The earlier forms of a few helpers (Horner
+evaluation through ``np.moveaxis``, lift rows through ``np.stack``, the
+strip's quotient through two ``np.where`` passes, polygon edges and turns
+through ``np.roll``) are kept here to check their rewrites bit for bit.  The distance is the plain formula over the whole
 (queries x segments) matrix, so its memory grows with their product: keep
 its inputs to a few thousand points a side.
 """
@@ -45,6 +48,64 @@ def polynomial_rows(gamma: Sequence[complex]) -> np.ndarray:
         za, zat = shifted(a), shifted(at)
         a, at, b, bt = za + gbar * b, zat + gbar * bt, g * za + b, g * zat + bt
     return np.stack((a, b, at, bt))
+
+
+def moveaxis_eval_poly(coeffs, z):
+    """Horner evaluation of stacked polynomials ``(..., n+1)`` at ``z``, with
+    the coefficient axis moved first by ``np.moveaxis``."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    zarr = np.asarray(z, dtype=np.complex128)
+    rows = c.shape[:-1]
+    cols = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + rows + (1,) * zarr.ndim)
+    acc = np.zeros(rows + zarr.shape, dtype=np.complex128) + cols[-1]
+    for col in cols[-2::-1]:
+        acc = acc * zarr + col
+    if acc.ndim == 0:
+        return complex(acc)
+    return acc
+
+
+def stacked_lift_rows(set_) -> np.ndarray:
+    """The lift rows ``A``, ``B``, ``At - gamma_0 A`` and ``(Bt - gamma_0 B) /
+    z`` of a polynomial set, each formed as its own array and stacked."""
+    a, b, at, bt = set_.coeffs
+    g0 = set_.gamma[0]
+    shifted = np.zeros_like(b)
+    shifted[:-1] = bt[1:] - g0 * b[1:]
+    return np.stack((a, b, at - g0 * a, shifted))
+
+
+def two_where_strip_slope(w, w0=None):
+    """The strip's divided difference ``P[w, w0]`` with its quotient
+    ``log(1 + x) / x`` set to 1 at ``x = 0`` by two ``np.where`` passes; a
+    0-d result comes back as ``complex``.  No denominator guard."""
+    w = np.asarray(w, dtype=np.complex128)
+    w0 = w if w0 is None else np.asarray(w0, dtype=np.complex128)
+    den = (1.0 - w) * (1.0 + w0)
+    x = 2.0 * (w - w0) / den
+    xr, xi = x.real, x.imag
+    log_u = 0.5 * np.log1p(xr * (xr + 2.0) + xi * xi) + 1j * np.arctan2(xi, 1.0 + xr)
+    same = x == 0
+    out = 2.0 * np.where(same, 1.0, log_u / np.where(same, 1.0, x)) / den
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def rolled_loop(points) -> tuple[np.ndarray, np.ndarray]:
+    """A polygon's vertices and the edge leaving each, ``np.roll(v, -1) -
+    v``, with zero-length edges dropped."""
+    v = np.asarray(points, dtype=np.complex128)
+    edges = np.roll(v, -1) - v
+    keep = np.abs(edges) > 0.0
+    return v[keep], edges[keep]
+
+
+def rolled_turns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sine and the angle of the turn from each edge to its successor
+    ``np.roll(edges, -1)``."""
+    following = np.roll(edges, -1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        sine = np.imag(np.conjugate(edges) * following) / (np.abs(edges) * np.abs(following))
+        return sine, np.angle(following / edges)
 
 
 def mobius(a, z):

@@ -16,6 +16,9 @@ from schurvar import (
 )
 
 
+from oracles import two_where_strip_slope
+
+
 def unit_disk_grid(rng, count, radius=0.95):
     return radius * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
 
@@ -235,3 +238,26 @@ def test_divided_difference_broadcasts():
         assert out.shape == (7, 3)
         single = dom.derivative(complex(w[2, 0]), complex(w0[1]))
         assert abs(out[2, 1] - single) <= 1e-15 * abs(single)
+
+
+def test_strip_quotient_is_bit_identical_to_the_two_where_form():
+    # x == 0 exactly where w == w0; tobytes tells -0.0 from +0.0
+    rng = np.random.default_rng(71)
+    w = unit_disk_grid(rng, 40)
+    w0 = unit_disk_grid(rng, 40)
+    w0[::3] = w[::3]
+    dom = strip()
+    for args in ((w, w0), (w,), (w, w.copy()), (w[:, None], w0[None, :5]), (w[:7], w0[:7])):
+        got, want = dom.derivative(*args), two_where_strip_slope(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for args in (
+        (0.3 + 0.1j,),
+        (0.3 + 0.1j, 0.3 + 0.1j),
+        (0.3 + 0.1j, -0.2j),
+        (np.asarray(0.2 - 0.4j),),
+        (np.asarray(0.2 - 0.4j), np.asarray(0.2 - 0.4j)),
+        (np.asarray(0.2 - 0.4j), 0.1j),
+    ):
+        got, want = dom.derivative(*args), two_where_strip_slope(*args)
+        assert type(got) is complex
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

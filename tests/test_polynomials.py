@@ -16,7 +16,7 @@ from schurvar import (
 )
 from schurvar.polynomials import eval_poly, lift, variability_disk
 
-from oracles import omega_nested, polynomial_rows
+from oracles import moveaxis_eval_poly, omega_nested, polynomial_rows, stacked_lift_rows
 
 
 def disk_points(radius: float):
@@ -167,6 +167,40 @@ def test_stacked_eval_is_bit_identical_to_per_row_horner():
             assert got.shape == (4,) + shape
             for k, row in enumerate(rows(s)):
                 assert np.array_equal(got[k], horner(row, z))
+
+
+def same_bits(got, want) -> bool:
+    """Equal type, shape and bytes (which tell -0.0 from +0.0)."""
+    if isinstance(want, complex):
+        return type(got) is complex and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows_shape", [(), (4,), (2, 3)], ids=["one", "four", "two-by-three"])
+def test_eval_column_layout_is_bit_identical_to_moveaxis(rows_shape):
+    rng = np.random.default_rng(43)
+    for n in (0, 1, 6, 20):
+        coeffs = disk_draw(rng, rows_shape + (n + 1,), 0.9)
+        for layout in (coeffs, np.asfortranarray(coeffs)):
+            for z in (
+                0.3 - 0.2j,
+                np.asarray(0.5j),
+                disk_draw(rng, 1, 0.95),
+                disk_draw(rng, 15, 0.95),
+                disk_draw(rng, (7, 15), 0.95),
+            ):
+                assert same_bits(eval_poly(layout, z), moveaxis_eval_poly(layout, z))
+
+
+@pytest.mark.parametrize("order", [0, 1, 8])
+def test_lift_rows_are_bit_identical_to_the_stacked_form(order):
+    rng = np.random.default_rng(47 + order)
+    cases = [(0.0,) * (order + 1), tuple(0.999 * np.exp(2j * np.pi * rng.random(order + 1)))]
+    cases += [disk_draw(rng, order + 1, 0.95) for _ in range(10)]
+    for gamma in cases:
+        s = build_polynomials(gamma)
+        assert s.lift_rows.shape == (4, order + 1)
+        assert same_bits(s.lift_rows, stacked_lift_rows(s))
 
 
 # --------------------------------------------------------------------------

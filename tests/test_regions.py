@@ -41,7 +41,14 @@ from schurvar.regions import (
     q_value,
 )
 
-from oracles import convex_hull, distance_to_boundary, hausdorff_distance, omega_nested
+from oracles import (
+    convex_hull,
+    distance_to_boundary,
+    hausdorff_distance,
+    omega_nested,
+    rolled_loop,
+    rolled_turns,
+)
 
 Z0 = 0.3
 
@@ -827,6 +834,23 @@ def test_contains_basic_cases():
     assert not contains(poly, 1.01)
 
 
+@pytest.mark.parametrize(
+    ("geom_tol", "w"), [(math.nan, 0.0), (-1e-6, 0.0), (math.inf, 5.0)], ids=["nan", "negative", "inf"]
+)
+def test_contains_refuses_a_bad_tolerance(geom_tol, w):
+    # unchecked, NaN put the centre outside, a negative value refused every
+    # point and inf accepted a point at distance 4
+    with pytest.raises(ContractViolation, match="geom_tol"):
+        contains(circle(16), w, geom_tol=geom_tol)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+def test_containment_refuses_points_that_are_not_one_dimensional(n, shape):
+    with pytest.raises(ContractViolation, match="1-D"):
+        containment_depths(circle(n), np.full(shape, 0.1 + 0.1j))
+
+
 def test_contains_is_orientation_free():
     ccw = circle(32)
     cw = ccw[::-1]
@@ -872,6 +896,37 @@ def test_convexity_defect_measures_the_turn_across_a_repeated_vertex():
 def test_validate_polygon_rejects_what_is_not_a_convex_loop(points, message):
     with pytest.raises(GeometryDegenerate, match=message):
         schurvar.regions._validate_polygon(points, 1e-6)
+
+
+def with_nan_vertices(v):
+    v = v.copy()
+    v[3] = complex(math.nan, math.nan)
+    v[7] = complex(0.5, math.nan)
+    return v
+
+
+# repeated vertices, a run that wraps past the last vertex, NaN vertices, a
+# reversed (strided) view and edges whose length products underflow
+LOOP_POLYGONS = {
+    "circle": circle(64),
+    "repeated": np.repeat(circle(40), [1, 3] * 20),
+    "wrapping": np.concatenate([circle(16)[:1], circle(16), circle(16)[:1]]),
+    "nan": with_nan_vertices(circle(16)),
+    "reversed-view": circle(64)[::-1],
+    "notched-repeated": NOTCHED_SQUARE_REPEATED,
+    "underflow": 1e-170 * np.array([0, 1, 1 + 1j, 1j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_POLYGONS))
+def test_loop_and_turns_are_bit_identical_to_the_rolled_forms(name):
+    v = LOOP_POLYGONS[name]
+    got, want = schurvar.regions._loop(v), rolled_loop(v)
+    for edges in (got[1], v - 0.5):  # NaN edges too, which the loop drops
+        got += schurvar.regions._turns(edges)
+        want += rolled_turns(edges)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize(("j", "z0"), [(-1, 1e-20), (0, 1e-20), (2, 1e-20), (0, 1e-15), (2, 1e-40)])

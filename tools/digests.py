@@ -1,0 +1,68 @@
+"""Print SHA-256 digests of the benchmark's operation outputs.
+
+    python3 tools/digests.py [--src DIR]
+
+Runs one round of the ``boundary``, ``classify`` and ``membership``
+workloads of ``bench/workloads.py`` for each of the seeds 1, 2 and 6, with
+``DIR`` (default: the ``src/`` of this checkout) as the package, and hashes
+the ``repr`` of each operation's digest (the bytes the benchmark compares
+from round to round) in input order.  It prints two lines:
+
+    boundary+classify <sha256>
+    membership <sha256>
+
+Equal lines for two trees mean that those operations gave the same bits:
+
+    python3 tools/digests.py --src ../old-checkout/src
+    python3 tools/digests.py
+
+The benchmark's modules are imported as they stand and left unchanged; no
+bytecode is written next to them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 6)
+#: Each printed line and the workloads it hashes, in order.
+GROUPS = (("boundary+classify", ("boundary", "classify")), ("membership", ("membership",)))
+
+
+def digests(src: Path) -> list[tuple[str, str]]:
+    """``(label, hex digest)`` per line of :data:`GROUPS`."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import schurvar as sv
+    import workloads
+
+    if Path(sv.__file__).resolve().parent != src.resolve() / "schurvar":
+        sys.exit(f"digests: imported schurvar from {sv.__file__}, not from {src}")
+    out = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, names in GROUPS:
+            h = hashlib.sha256()
+            for seed in SEEDS:
+                for name in names:
+                    wl = workloads.WORKLOADS[name](sv, seed, workdir)
+                    for i in range(len(wl.cases)):
+                        h.update(repr(wl.digest(wl.op(i))).encode())
+            out.append((label, h.hexdigest()))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package sources")
+    args = parser.parse_args()
+    for label, hexdigest in digests(args.src):
+        print(label, hexdigest)
+
+
+if __name__ == "__main__":
+    main()
