@@ -33,6 +33,7 @@ do not check them.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -97,6 +98,8 @@ _BOUND_ELEMENTS = 2**16
 #: Rounding slack of the block bounds, relative to |q - centre| plus the
 #: polygon's extent: about 4500 ulps, where values and bounds err by a few.
 _BOUND_SLACK = 1e-12
+#: Sample counts whose angle grid :func:`_angle_grid` keeps at once.
+_ANGLE_GRIDS = 8
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +156,11 @@ class SinglePoint:
 
 @dataclass(frozen=True)
 class Jordan:
-    """Interior data: sampled closed boundary curve plus an interior point."""
+    """Interior data: sampled closed boundary curve plus an interior point.
+
+    ``eps_angles`` is one read-only array shared by every region of the
+    same sample count; copy it before modifying it.
+    """
 
     eps_angles: np.ndarray
     boundary: np.ndarray
@@ -267,6 +274,15 @@ def _equispaced_values(
     return q_value(set_, j, z0, rows[:, None], domain, quad_tol)
 
 
+@functools.lru_cache(maxsize=_ANGLE_GRIDS)
+def _angle_grid(n_samples: int) -> np.ndarray:
+    """The angles ``2 pi k / n_samples`` of a boundary's samples, as one
+    read-only array shared by every :class:`Jordan` of ``n_samples``."""
+    angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
+    angles.flags.writeable = False
+    return angles
+
+
 def boundary_curve(
     set_: SchurPolynomialSet,
     j: int,
@@ -277,7 +293,8 @@ def boundary_curve(
 ) -> Jordan:
     """The region's :class:`Jordan`: the extremal values at ``n_samples``
     equispaced unimodular epsilons, ``angles[k] = 2 pi k / n_samples``, and
-    the interior witness at ``epsilon = 0``.
+    the interior witness at ``epsilon = 0``.  ``angles`` is the shared,
+    read-only array of :func:`_angle_grid`.
 
     A boundary value is a power series in ``epsilon`` whose coefficients
     decay like ``|z0|^k``.  The first batch integrates ``M`` equispaced
@@ -299,7 +316,7 @@ def boundary_curve(
     and a positive, finite ``quad_tol``: the fields of a valid
     :class:`RegionRequest`, which nothing here checks again.
     """
-    angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
+    angles = _angle_grid(n_samples)
     decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
     m = min(n_samples, 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length())
     first = _equispaced_values(set_, j, z0, domain, m, quad_tol, True)  # and eps = 0
@@ -340,7 +357,9 @@ def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):
     folded = np.zeros(n_samples, dtype=np.complex128)
     folded[:kept] = coeffs[:kept]
     folded[: m - kept] += coeffs[kept:]
-    return np.fft.ifft(folded) * n_samples
+    out = np.fft.ifft(folded)
+    out *= n_samples  # in place: no second N-sample array
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -591,9 +610,21 @@ def oracle_samples(
 # polygon geometry
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as a complex array, refused unless numpy holds them as
+    integers, floats or complex numbers (not booleans, strings, ``None`` or
+    other objects)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iufc":
+        raise ContractViolation(
+            f"{what} must be integer, float or complex numbers, not {arr.dtype}"
+        )
+    return arr.astype(np.complex128, copy=False)
+
+
 def _vertices(obj) -> np.ndarray:
     points = obj.boundary if isinstance(obj, Jordan) else obj
-    v = np.asarray(points, dtype=np.complex128)
+    v = _numbers(points, "polygon vertices")
     if v.ndim != 1 or len(v) < _MIN_POLYGON_POINTS:
         raise ContractViolation(
             f"polygon needs at least {_MIN_POLYGON_POINTS} points in curve order"
@@ -686,21 +717,22 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     extent = 2.0 * float(np.max(np.abs(v - centre)))
     rows_per_pass = max(1, _BOUND_ELEMENTS // n_blocks)
     out = np.empty(len(queries))
-    for lo in range(0, len(queries), rows_per_pass):
-        q = queries[lo : lo + rows_per_pass]
-        local = conj_m[:, None] * (q[None, :] - anchor[:, None])
-        x = local.real
-        lower = floor[:, None] + x - np.abs(x) * along - np.abs(local.imag) * across
-        ceiling = np.min(x, axis=0) + _BOUND_SLACK * (np.abs(q - centre) + extent)
-        wanted = lower <= ceiling
-        wanted[:, ~(np.isfinite(ceiling) & np.all(np.isfinite(lower), axis=0))] = True
-        best = np.full(len(q), np.inf)
-        for b in np.flatnonzero(np.any(wanted, axis=1)):
-            rows = np.flatnonzero(wanted[b])
-            cols = slice(ends[b], ends[b + 1])
-            values = _inward(q[rows], conj_e[cols], base[cols], scale[cols])
-            best[rows] = np.minimum(best[rows], values.min(axis=1))
-        out[lo : lo + len(q)] = best
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite and huge queries
+        for lo in range(0, len(queries), rows_per_pass):
+            q = queries[lo : lo + rows_per_pass]
+            local = conj_m[:, None] * (q[None, :] - anchor[:, None])
+            x = local.real
+            lower = floor[:, None] + x - np.abs(x) * along - np.abs(local.imag) * across
+            ceiling = np.min(x, axis=0) + _BOUND_SLACK * (np.abs(q - centre) + extent)
+            wanted = lower <= ceiling
+            wanted[:, ~(np.isfinite(ceiling) & np.all(np.isfinite(lower), axis=0))] = True
+            best = np.full(len(q), np.inf)
+            for b in np.flatnonzero(np.any(wanted, axis=1)):
+                rows = np.flatnonzero(wanted[b])
+                cols = slice(ends[b], ends[b + 1])
+                values = _inward(q[rows], conj_e[cols], base[cols], scale[cols])
+                best[rows] = np.minimum(best[rows], values.min(axis=1))
+            out[lo : lo + len(q)] = best
     return -out
 
 
@@ -715,10 +747,11 @@ def containment_depths(result, points) -> np.ndarray:
     q * N for the sample pipeline's draws against 4096 vertices); a point
     nearly equidistant from every edge, such as the centre of a regular
     polygon, keeps them all.  Memory does not grow with q.  ``points`` is
-    one point or a 1-D sequence of them.
+    one point or a 1-D sequence of them, held by numpy as integers, floats
+    or complex numbers; NaN, infinite and huge points raise no warning.
     """
     v = _vertices(result)
-    q = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    q = np.atleast_1d(_numbers(points, "containment points"))
     if q.ndim != 1:
         raise ContractViolation("containment points must be a scalar or a 1-D sequence")
     return _outward_depths(v, q)
@@ -729,11 +762,15 @@ def contains(result, w, geom_tol: float = ToleranceConfig.geom_tol) -> bool:
 
     Accepts points up to ``geom_tol`` outside an edge, absorbing both
     quadrature error and the gap between the inscribed polygon and the
-    true curve.  ``result`` is a Jordan region or a vertex sequence;
-    ``geom_tol`` is checked as in :class:`ToleranceConfig`.
+    true curve.  ``result`` is a Jordan region or a vertex sequence; ``w``
+    is one point, a number or a 0-d array, checked as in
+    :func:`containment_depths`; ``geom_tol`` is checked as in
+    :class:`ToleranceConfig`.
     """
     ToleranceConfig(geom_tol=geom_tol)  # raises on a bad geom_tol
-    return bool(containment_depths(result, complex(w))[0] <= geom_tol)
+    if np.ndim(w) != 0:
+        raise ContractViolation("contains takes one point; containment_depths takes several")
+    return bool(containment_depths(result, w)[0] <= geom_tol)
 
 
 def enclosed_area(boundary) -> float:

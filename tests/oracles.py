@@ -7,7 +7,9 @@ only cross-check the polynomials, regions and interpolants that
 ``schurvar`` computes.  The earlier forms of a few helpers (Horner
 evaluation through ``np.moveaxis``, lift rows through ``np.stack``, the
 strip's quotient through two ``np.where`` passes, polygon edges and turns
-through ``np.roll``) are kept here to check their rewrites bit for bit.  The distance is the plain formula over the whole
+through ``np.roll``, a boundary's angle grid per result, resampling that
+scales a copy of the inverse FFT) are kept here to check their rewrites
+bit for bit.  The distance is the plain formula over the whole
 (queries x segments) matrix, so its memory grows with their product: keep
 its inputs to a few thousand points a side.
 """
@@ -106,6 +108,26 @@ def rolled_turns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         sine = np.imag(np.conjugate(edges) * following) / (np.abs(edges) * np.abs(following))
         return sine, np.angle(following / edges)
+
+
+def angle_grid(n_samples: int) -> np.ndarray:
+    """The angles ``2 pi k / n_samples`` as each boundary computed its own."""
+    return 2.0 * np.pi * (np.arange(n_samples) / n_samples)
+
+
+def out_of_place_resampled(values: np.ndarray, n_samples: int, quad_tol: float):
+    """The trigonometric interpolant of ``m`` equispaced ``values`` at
+    ``n_samples`` equispaced angles, scaled as a copy of the inverse FFT;
+    None when the upper half of the spectrum exceeds ``quad_tol``."""
+    m = len(values)
+    coeffs = np.fft.fft(values) / m
+    if abs(coeffs[m // 2 :]).max() > quad_tol:
+        return None
+    kept = min(m, n_samples)
+    folded = np.zeros(n_samples, dtype=np.complex128)
+    folded[:kept] = coeffs[:kept]
+    folded[: m - kept] += coeffs[kept:]
+    return np.fft.ifft(folded) * n_samples
 
 
 def mobius(a, z):

@@ -42,10 +42,12 @@ from schurvar.regions import (
 )
 
 from oracles import (
+    angle_grid,
     convex_hull,
     distance_to_boundary,
     hausdorff_distance,
     omega_nested,
+    out_of_place_resampled,
     rolled_loop,
     rolled_turns,
 )
@@ -435,6 +437,60 @@ def test_boundary_of_a_large_region_converges(gamma, j, z0):
     for k in (0, 100, 256, 400):
         want = mp_boundary_value(mp, gamma, np.exp(1j * angles[k]), j, z0)
         assert abs(values[k] - want) < 1e-10
+
+
+def test_regions_of_one_sample_count_share_one_read_only_angle_grid():
+    a, b = (
+        region(RegionRequest.from_gamma(gamma, j=0, z0=Z0, domain=half_plane(), samples=64))
+        for gamma in ((0.5,), (0.2j, 0.3))
+    )
+    assert a.eps_angles is b.eps_angles
+    assert not a.eps_angles.flags.writeable
+    with pytest.raises(ValueError):
+        a.eps_angles[0] = 1.0
+    assert np.array_equal(a.eps_angles, angle_grid(64))
+    other = boundary_curve(build_polynomials((0.5,)), 0, Z0, half_plane(), 100)
+    assert other.eps_angles is not a.eps_angles
+    assert other.eps_angles.tobytes() == angle_grid(100).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 16, 511, 512, 4096])
+def test_angle_grid_is_bit_identical_to_the_per_result_form(n):
+    got = schurvar.regions._angle_grid(n)
+    assert got.dtype == np.float64
+    assert got.tobytes() == angle_grid(n).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("m", "n"),
+    [(16, 16), (512, 512), (16, 17), (16, 64), (32, 100), (64, 511), (256, 4096), (128, 100)],
+)
+def test_resampled_is_bit_identical_to_the_out_of_place_form(m, n):
+    # a power series in eps whose upper half-spectrum is below quad_tol
+    rng = np.random.default_rng(m + n)
+    coeffs = 0.04 ** np.arange(40) * np.exp(2j * np.pi * rng.random(40))
+    eps = np.exp(2j * np.pi * np.arange(m) / m)
+    values = np.polynomial.polynomial.polyval(eps, coeffs)
+    got = schurvar.regions._resampled(values, n, 1e-10)
+    want = out_of_place_resampled(values, n, 1e-10)
+    assert got is not None and want is not None
+    assert got.tobytes() == want.tobytes()
+
+
+def test_regions_of_one_sample_count_hold_one_angle_grid_between_them():
+    # deterministic memory counter: the distinct arrays that 50 results of
+    # 512 samples hold, against 50 * 512 * 24 bytes with a grid per result
+    k, n = 50, 512
+    results = [
+        region(
+            RegionRequest.from_gamma(
+                (0.6 * np.exp(0.1j * i),), j=0, z0=Z0, domain=half_plane(), samples=n
+            )
+        )
+        for i in range(k)
+    ]
+    arrays = {id(a): a for r in results for a in (r.boundary, r.eps_angles)}
+    assert sum(a.nbytes for a in arrays.values()) == k * n * 16 + n * 8
 
 
 # --------------------------------------------------------------------------
@@ -851,6 +907,59 @@ def test_containment_refuses_points_that_are_not_one_dimensional(n, shape):
         containment_depths(circle(n), np.full(shape, 0.1 + 0.1j))
 
 
+NOT_NUMBERS = {
+    "string": "0.1",
+    "bool": True,
+    "none": None,
+    "strings": ["0.1", "0.2"],
+    "bools": [True, False],
+    "with-none": [0.1, None],
+}
+
+
+@pytest.mark.parametrize("points", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_containment_refuses_points_that_are_not_numbers(points):
+    # a string was parsed, True was the point 1 and None became NaN
+    with pytest.raises(ContractViolation, match="containment points"):
+        containment_depths(circle(16), points)
+    if np.ndim(points) == 0:
+        with pytest.raises(ContractViolation, match="containment points"):
+            contains(circle(16), points)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1,), (1, 1), (3, 1)])
+def test_contains_refuses_more_than_one_point(shape):
+    # complex() raised a bare TypeError for these
+    with pytest.raises(ContractViolation, match="one point"):
+        contains(circle(16), np.full(shape, 0.1))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[str(x) for x in circle(8)], [True, False, True, False], [0.0, 1.0, 1j, None]],
+    ids=["strings", "bools", "with-none"],
+)
+def test_geometry_refuses_vertices_that_are_not_numbers(vertices):
+    with pytest.raises(ContractViolation, match="polygon vertices"):
+        containment_depths(vertices, [0.1])
+    with pytest.raises(ContractViolation, match="polygon vertices"):
+        contains(vertices, 0.1)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [0, 1, 0.25, -0.5j, 0.3 + 0.2j, np.int64(1), np.uint8(1), np.float32(0.1),
+     np.float16(0.3), np.longdouble(0.1), np.complex64(0.2 + 0.1j), np.array(0.7 - 0.7j)],
+    ids=repr,
+)
+def test_containment_keeps_the_depth_of_every_kind_of_number(w):
+    v = circle(16)
+    want = containment_depths(v, np.array([complex(w)]))
+    assert containment_depths(v, w).tobytes() == want.tobytes()
+    assert containment_depths(v, [w, w]).tobytes() == np.repeat(want, 2).tobytes()
+    assert contains(v, w) == bool(want[0] <= ToleranceConfig.geom_tol)
+
+
 def test_contains_is_orientation_free():
     ccw = circle(32)
     cw = ccw[::-1]
@@ -1111,12 +1220,18 @@ def test_pruned_geometry_keeps_a_block_whose_bound_is_tight():
 
 def test_geometry_keeps_non_finite_and_huge_queries():
     # a NaN or infinite bound decides nothing: those queries take the full row
-    q = np.array([np.nan, np.inf, 1e200, -1e200j, complex(np.nan, 1.0), -np.inf, 0.1])
-    with np.errstate(invalid="ignore", over="ignore"):
-        for v in (MULTI_BLOCK_POLYGONS["ccw-4099"], GEOMETRY_POLYGONS["cw"]):
-            got = containment_depths(v, q)
-            assert np.array_equal(got, unblocked_depths(v, q), equal_nan=True)
-            assert_depth_is_distance_inside(v, q)
+    # and no numpy warning, which the tests turn into an error, leaves the call
+    q = np.array(
+        [np.nan, np.inf, 1e200, -1e200j, complex(np.nan, 1.0), -np.inf, 1e308 + 1e308j, 0.1]
+    )
+    for v in (MULTI_BLOCK_POLYGONS["ccw-4099"], GEOMETRY_POLYGONS["cw"]):
+        got = containment_depths(v, q)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = unblocked_depths(v, q)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert_depth_is_distance_inside(v, q)
+        for w in (np.inf, 1e308 + 1e308j):
+            assert containment_depths(v, [w]).tobytes() == got[q == w].tobytes()
 
 
 def test_pruned_containment_evaluates_few_pairs(monkeypatch):

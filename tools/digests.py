@@ -6,10 +6,13 @@ Runs one round of the ``boundary``, ``classify`` and ``membership``
 workloads of ``bench/workloads.py`` for each of the seeds 1, 2 and 6, with
 ``DIR`` (default: the ``src/`` of this checkout) as the package, and hashes
 the ``repr`` of each operation's digest (the bytes the benchmark compares
-from round to round) in input order.  It prints two lines:
+from round to round) in input order.  The benchmark's digests leave out the
+regions' angle grids, so a third line hashes the ``eps_angles`` bytes of the
+region of each ``boundary`` and ``membership`` operation.  It prints:
 
     boundary+classify <sha256>
     membership <sha256>
+    eps_angles <sha256>
 
 Equal lines for two trees mean that those operations gave the same bits:
 
@@ -32,10 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 6)
 #: Each printed line and the workloads it hashes, in order.
 GROUPS = (("boundary+classify", ("boundary", "classify")), ("membership", ("membership",)))
+#: The workloads whose ``eps_angles`` the last line hashes, and the region
+#: in the output of one of their operations.
+REGION_OF = {"boundary": lambda out: out, "membership": lambda out: out[0]}
 
 
 def digests(src: Path) -> list[tuple[str, str]]:
-    """``(label, hex digest)`` per line of :data:`GROUPS`."""
+    """``(label, hex digest)`` per line of :data:`GROUPS`, then the
+    ``eps_angles`` line."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     import schurvar as sv
@@ -44,6 +51,7 @@ def digests(src: Path) -> list[tuple[str, str]]:
     if Path(sv.__file__).resolve().parent != src.resolve() / "schurvar":
         sys.exit(f"digests: imported schurvar from {sv.__file__}, not from {src}")
     out = []
+    angles = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         for label, names in GROUPS:
             h = hashlib.sha256()
@@ -51,8 +59,12 @@ def digests(src: Path) -> list[tuple[str, str]]:
                 for name in names:
                     wl = workloads.WORKLOADS[name](sv, seed, workdir)
                     for i in range(len(wl.cases)):
-                        h.update(repr(wl.digest(wl.op(i))).encode())
+                        result = wl.op(i)
+                        h.update(repr(wl.digest(result)).encode())
+                        if name in REGION_OF:
+                            angles.update(REGION_OF[name](result).eps_angles.tobytes())
             out.append((label, h.hexdigest()))
+    out.append(("eps_angles", angles.hexdigest()))
     return out
 
 
