@@ -4,8 +4,7 @@ The package peels Carathéodory coefficient data into Schur parameters,
 classifies the data against the coefficient body, builds the associated
 polynomial quadruple, and computes the variability region of the weighted
 primitive functional over all admissible maps into a convex target domain
-— including its extremal boundary parametrization, a closed-form
-cross-check for the bounded-derivative special case, and Monte-Carlo
+— including its extremal boundary parametrization and Monte-Carlo
 membership verification.
 
 ``import schurvar`` does not import numpy.  The peeling and the errors
@@ -17,7 +16,6 @@ first use (PEP 562).
 from importlib import import_module
 
 from .errors import (
-    BranchCutHit,
     ContractViolation,
     DegenerateDenominator,
     GeometryDegenerate,
@@ -74,7 +72,6 @@ __all__ = [
     "DegenerateDenominator",
     "QuadratureNonConvergence",
     "GeometryDegenerate",
-    "BranchCutHit",
     # peeling
     "CaratheodoryData",
     "ToleranceConfig",

@@ -211,6 +211,7 @@ def cmd_sample(args) -> int:
     from .regions import containment_depths, oracle_samples, region
 
     _check_size("--count", args.count, MAX_COUNT)
+    _check_size("--seed", args.seed)
     request, cls = _interior_request(args)
     payload: dict[str, object]
     if args.count == 0:
@@ -252,6 +253,7 @@ def cmd_verify(args) -> int:
     from .polynomials import identity_residuals
 
     _check_size("--draws", args.draws, least=1)
+    _check_size("--seed", args.seed)
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)
     for _ in range(args.draws):

@@ -6,7 +6,6 @@ __all__ = [
     "DegenerateDenominator",
     "QuadratureNonConvergence",
     "GeometryDegenerate",
-    "BranchCutHit",
 ]
 
 
@@ -28,7 +27,3 @@ class QuadratureNonConvergence(SchurvarError):
 
 class GeometryDegenerate(SchurvarError):
     """A sampled boundary polygon failed a basic geometric sanity check."""
-
-
-class BranchCutHit(SchurvarError):
-    """A closed-form logarithm argument landed on its branch cut."""

@@ -24,11 +24,13 @@ over oracle samples share quadrature panels but are refined until every
 member meets the error budget.  The point at ``eps = 0`` is one more row
 of the first boundary batch, so it takes no integral of its own.
 
-A :class:`RegionRequest` is validated once, when it is built, and
-:func:`oracle_samples` checks its loose arguments the same way.  The
-kernels behind them (:func:`integrand`, :func:`q_value`,
-:func:`boundary_curve` and the quadrature) state their preconditions and
-do not check them.
+A :class:`RegionRequest` is validated once, when it is built, down to the
+types of its domain and tolerances, and :func:`oracle_samples` checks its
+loose arguments the same way.  The kernels behind them (:func:`integrand`,
+:func:`q_value`, :func:`boundary_curve` and the quadrature) state their
+preconditions and do not check them.  The polygon functions check that
+their points are numbers.  Closed forms of special cases, which only
+cross-check these regions, are not part of the package.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import DomainMap, half_plane
-from .errors import (
-    BranchCutHit,
-    ContractViolation,
-    GeometryDegenerate,
-    QuadratureNonConvergence,
-)
+from .domains import DomainMap
+from .errors import ContractViolation, GeometryDegenerate, QuadratureNonConvergence
 from .polynomials import SchurPolynomialSet, build_polynomials, lift
 from .quadrature import integrate_segment
 from .schur import (
@@ -113,7 +110,8 @@ class RegionRequest:
     ``j >= -1`` (integer weight power), ``0 < |z0| < 1``, an integer
     ``samples >= 4`` (the default 512 is what the containment tolerances
     are calibrated for; tiny counts are allowed for smoke tests and quick
-    plots); ``data`` and ``tol`` check themselves.  ``j`` and ``samples``
+    plots), a :class:`DomainMap` ``domain`` and a :class:`ToleranceConfig`
+    ``tol``; ``data`` and ``tol`` check themselves.  ``j`` and ``samples``
     are stored as Python ints.  The kernels behind :func:`region` rely on
     these checks and do not repeat them.
     """
@@ -128,6 +126,10 @@ class RegionRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.data, CaratheodoryData):
             object.__setattr__(self, "data", CaratheodoryData(tuple(self.data)))
+        if not isinstance(self.tol, ToleranceConfig):
+            kind = type(self.tol).__name__
+            raise ContractViolation(f"tol must be a ToleranceConfig, not {kind}")
+        _check_domain(self.domain)
         j, z0 = _check_weight_and_endpoint(self.j, self.z0)
         samples = _integer(self.samples, "boundary sample count")
         if samples < _MIN_BOUNDARY_SAMPLES:
@@ -208,14 +210,6 @@ def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta
     return out
 
 
-def _check_endpoint(z0: complex) -> complex:
-    """``z0`` as a complex with ``0 < |z0| < 1``; NaN and infinite parts fail too."""
-    z0 = complex(z0)
-    if not (0.0 < abs(z0) < 1.0):
-        raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
-    return z0
-
-
 def _integer(value, name: str) -> int:
     """``value`` as a Python int: any ``numbers.Integral`` but a bool."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -223,13 +217,22 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _check_domain(domain: DomainMap) -> None:
+    if not isinstance(domain, DomainMap):
+        raise ContractViolation(f"domain must be a DomainMap, not {type(domain).__name__}")
+
+
 def _check_weight_and_endpoint(j: int, z0: complex) -> tuple[int, complex]:
     """The checks of a region computation's ``j`` and ``z0``: an integer
-    weight power ``j >= -1`` and :func:`_check_endpoint` of ``z0``."""
+    weight power ``j >= -1``, and ``z0`` as a complex with ``0 < |z0| < 1``
+    (NaN and infinite parts fail too)."""
     j = _integer(j, "weight power j")
     if j < -1:
         raise ContractViolation("weight power j must be >= -1")
-    return j, _check_endpoint(z0)
+    z0 = complex(z0)
+    if not (0.0 < abs(z0) < 1.0):
+        raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
+    return j, z0
 
 
 def q_value(
@@ -431,68 +434,6 @@ def _raise_if_unresolved(jordan: Jordan) -> None:
 
 
 # --------------------------------------------------------------------------
-# closed-form cross-check: bounded derivative quotients over convex maps
-
-
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not (0.0 <= lam < 1.0):
-        raise ContractViolation("lam must lie in [0, 1)")
-    return lam
-
-
-def log_derivative_curve(lam: float, z0: complex, theta):
-    """Closed-form boundary of ``{log f'(z0)}`` over normalized convex maps
-    with second Taylor coefficient ``lam`` (i.e. ``f''(0) = 2 lam``).
-
-    With ``s = sin(theta/2)``, ``c = cos(theta/2)`` and the positive root
-    ``R = sqrt(1 - lam^2 s^2)``, the curve at angle ``theta`` is
-
-        -(1 - lam c / R) log(1 - e^{i theta/2} z0 / (i lam s - R))
-        -(1 + lam c / R) log(1 - e^{i theta/2} z0 / (i lam s + R))
-
-    with principal logarithms.  Both log arguments live in the disk of
-    radius ``|z0|`` around 1 (the two poles are unimodular), so only a
-    ``z0`` within about 1e-14 of the circle brings one near the branch cut;
-    the guard raises BranchCutHit when an argument lies within 1e-14 of
-    ``(-inf, 0]``.  ``theta`` may be a scalar or an array; for ``lam = 0``
-    the curve collapses to ``-log(1 - e^{i theta} z0^2)``.
-    """
-    lam = _check_lam(lam)
-    z0 = _check_endpoint(z0)
-    th = np.asarray(theta, dtype=np.float64)
-    scalar = th.ndim == 0
-    s = np.sin(th / 2.0)
-    c = np.cos(th / 2.0)
-    root = np.sqrt(1.0 - (lam * s) ** 2)
-    phase = np.exp(0.5j * th)
-    arg_minus = 1.0 - phase * z0 / (1j * lam * s - root)
-    arg_plus = 1.0 - phase * z0 / (1j * lam * s + root)
-    for arg in (arg_minus, arg_plus):
-        on_cut = (np.real(arg) <= 1e-14) & (np.abs(np.imag(arg)) <= 1e-14)
-        if np.any(on_cut):
-            raise BranchCutHit("logarithm argument on the non-positive real axis")
-    out = -(1.0 - lam * c / root) * np.log(arg_minus) - (
-        1.0 + lam * c / root
-    ) * np.log(arg_plus)
-    if scalar:
-        return complex(out)
-    return out
-
-
-def log_derivative_setup(lam: float) -> tuple[DomainMap, CaratheodoryData, int]:
-    """The general-machinery request matching :func:`log_derivative_curve`.
-
-    ``log f'`` of a normalized convex map transplants to the half-plane
-    functional with weight power -1 and data ``(0, lam)``: the region
-    traced by ``q_value`` over unimodular epsilons for this triple equals
-    the closed-form curve at the same angles.
-    """
-    lam = _check_lam(lam)
-    return half_plane(), CaratheodoryData((0.0 + 0.0j, complex(lam))), -1
-
-
-# --------------------------------------------------------------------------
 # membership oracle
 
 
@@ -574,12 +515,17 @@ def oracle_samples(
     would give it (read from one batch of raw outputs, see
     :func:`_draw_blaschke`).  The whole batch is integrated together, and
     each zero's factor is multiplied only into the draws that have that
-    zero.  ``j`` and ``z0`` are checked as in
-    :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`
-    and ``count`` as an integer, before anything is integrated.
+    zero.  ``domain``, ``j`` and ``z0`` are checked as in
+    :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`,
+    and ``seed`` and ``count`` as non-negative integers, before anything is
+    integrated.
     """
+    _check_domain(domain)
     j, z0 = _check_weight_and_endpoint(j, z0)
     ToleranceConfig(quad_tol=quad_tol)  # raises on a bad quad_tol
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ContractViolation("seed must be non-negative")
     count = _integer(count, "sample count")
     if count < 0:
         raise ContractViolation("sample count must be non-negative")
@@ -782,14 +728,15 @@ def enclosed_area(boundary) -> float:
     aliasing error decays geometrically in the sample count, so doubling
     the sampling leaves the value unchanged to near machine precision;
     polygon shoelace area would instead drift at O(N^-2).  Positive for
-    counterclockwise curves.
+    counterclockwise curves.  ``boundary`` is a 1-D sequence of at least 4
+    samples, held by numpy as integers, floats or complex numbers.
     """
-    v = np.asarray(boundary, dtype=np.complex128)
-    n = len(v)
-    if n < _MIN_BOUNDARY_SAMPLES:
+    v = _numbers(boundary, "boundary samples")
+    if v.ndim != 1 or len(v) < _MIN_BOUNDARY_SAMPLES:
         raise ContractViolation(
-            f"enclosed_area needs at least {_MIN_BOUNDARY_SAMPLES} samples"
+            f"enclosed_area needs a 1-D sequence of at least {_MIN_BOUNDARY_SAMPLES} samples"
         )
+    n = len(v)
     coeffs = np.fft.fft(v) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
     return float(np.pi * np.sum(k * np.abs(coeffs) ** 2))

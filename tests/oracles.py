@@ -2,6 +2,7 @@
 
 None of these is part of the product: the per-row recurrence of the
 polynomial quadruple, the nested Möbius form of the interpolant, the
+closed-form log f' curve of the bounded-derivative special case, the
 convex hull, the point-to-polyline distance and the Hausdorff distance
 only cross-check the polynomials, regions and interpolants that
 ``schurvar`` computes.  The earlier forms of a few helpers (Horner
@@ -18,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from schurvar.errors import ContractViolation, DegenerateDenominator
+from schurvar.domains import DomainMap, half_plane
+from schurvar.errors import ContractViolation, DegenerateDenominator, SchurvarError
+from schurvar.schur import CaratheodoryData
 
 #: Denominators smaller than this are treated as exact zeros.
 _DENOM_FLOOR = 1e-300
@@ -128,6 +131,71 @@ def out_of_place_resampled(values: np.ndarray, n_samples: int, quad_tol: float):
     folded[:kept] = coeffs[:kept]
     folded[: m - kept] += coeffs[kept:]
     return np.fft.ifft(folded) * n_samples
+
+
+class BranchCutHit(SchurvarError):
+    """A closed-form logarithm argument landed on its branch cut."""
+
+
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not (0.0 <= lam < 1.0):
+        raise ContractViolation("lam must lie in [0, 1)")
+    return lam
+
+
+def log_derivative_curve(lam: float, z0: complex, theta):
+    """Closed-form boundary of ``{log f'(z0)}`` over normalized convex maps
+    with second Taylor coefficient ``lam`` (i.e. ``f''(0) = 2 lam``).
+
+    With ``s = sin(theta/2)``, ``c = cos(theta/2)`` and the positive root
+    ``R = sqrt(1 - lam^2 s^2)``, the curve at angle ``theta`` is
+
+        -(1 - lam c / R) log(1 - e^{i theta/2} z0 / (i lam s - R))
+        -(1 + lam c / R) log(1 - e^{i theta/2} z0 / (i lam s + R))
+
+    with principal logarithms.  Both log arguments live in the disk of
+    radius ``|z0|`` around 1 (the two poles are unimodular), so only a
+    ``z0`` within about 1e-14 of the circle brings one near the branch cut;
+    the guard raises BranchCutHit when an argument lies within 1e-14 of
+    ``(-inf, 0]``.  ``theta`` may be a scalar or an array; for ``lam = 0``
+    the curve collapses to ``-log(1 - e^{i theta} z0^2)``.  ``lam`` outside
+    ``[0, 1)`` and ``z0`` outside ``0 < |z0| < 1`` raise ContractViolation.
+    """
+    lam = _check_lam(lam)
+    z0 = complex(z0)
+    if not (0.0 < abs(z0) < 1.0):
+        raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
+    th = np.asarray(theta, dtype=np.float64)
+    scalar = th.ndim == 0
+    s = np.sin(th / 2.0)
+    c = np.cos(th / 2.0)
+    root = np.sqrt(1.0 - (lam * s) ** 2)
+    phase = np.exp(0.5j * th)
+    arg_minus = 1.0 - phase * z0 / (1j * lam * s - root)
+    arg_plus = 1.0 - phase * z0 / (1j * lam * s + root)
+    for arg in (arg_minus, arg_plus):
+        on_cut = (np.real(arg) <= 1e-14) & (np.abs(np.imag(arg)) <= 1e-14)
+        if np.any(on_cut):
+            raise BranchCutHit("logarithm argument on the non-positive real axis")
+    out = -(1.0 - lam * c / root) * np.log(arg_minus) - (
+        1.0 + lam * c / root
+    ) * np.log(arg_plus)
+    if scalar:
+        return complex(out)
+    return out
+
+
+def log_derivative_setup(lam: float) -> tuple[DomainMap, CaratheodoryData, int]:
+    """The general-machinery request matching :func:`log_derivative_curve`.
+
+    ``log f'`` of a normalized convex map transplants to the half-plane
+    functional with weight power -1 and data ``(0, lam)``: the region
+    traced by ``q_value`` over unimodular epsilons for this triple equals
+    the closed-form curve at the same angles.
+    """
+    lam = _check_lam(lam)
+    return half_plane(), CaratheodoryData((0.0 + 0.0j, complex(lam))), -1
 
 
 def mobius(a, z):

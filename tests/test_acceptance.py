@@ -33,12 +33,17 @@ from schurvar.regions import (
     boundary_curve,
     convexity_defect,
     enclosed_area,
-    log_derivative_curve,
-    log_derivative_setup,
     q_value,
 )
 
-from oracles import convex_hull, distance_to_boundary, hausdorff_distance, omega_nested
+from oracles import (
+    convex_hull,
+    distance_to_boundary,
+    hausdorff_distance,
+    log_derivative_curve,
+    log_derivative_setup,
+    omega_nested,
+)
 
 
 def draw_gamma(rng, max_order, radius):

@@ -310,6 +310,7 @@ def refuse(*args, **kwargs):
         ("sample", "--samples", 10**10),
         ("sample", "--count", MAX_COUNT + 1),
         ("sample", "--count", -1),
+        ("sample", "--seed", -1),
     ],
 )
 def test_sizes_above_their_caps_are_refused_before_computing(
@@ -381,6 +382,14 @@ def test_verify_refuses_a_negative_draw_count(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("invalid input:")
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    code = main(["verify", "--seed", "-1", "--draws", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "invalid input: --seed must be non-negative, got -1\n"
 
 
 def test_verify_refuses_zero_draws(capsys):

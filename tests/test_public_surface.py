@@ -1,5 +1,9 @@
 """The top-level names of the package, and where they come from."""
 
+import ast
+import sys
+from pathlib import Path
+
 import schurvar
 from schurvar import domains, errors, polynomials, quadrature, regions, schur
 
@@ -10,7 +14,6 @@ PUBLIC = [
     "DegenerateDenominator",
     "QuadratureNonConvergence",
     "GeometryDegenerate",
-    "BranchCutHit",
     "CaratheodoryData",
     "ToleranceConfig",
     "SchurClassification",
@@ -43,7 +46,7 @@ MODULES = (errors, schur, polynomials, domains, quadrature, regions)
 
 
 def test_top_level_surface_is_pinned():
-    assert len(set(PUBLIC)) == 34
+    assert len(set(PUBLIC)) == 33
     assert schurvar.__all__ == PUBLIC
 
 
@@ -84,3 +87,19 @@ def test_resolved_names_follow_their_module_attribute(monkeypatch):
     monkeypatch.undo()
     assert schurvar.region is original
     assert "region" not in vars(schurvar)
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone: mpmath, scipy, hypothesis, pytest
+    # and the tests' oracles stay out of the runtime imports
+    allowed = {"numpy", *sys.stdlib_module_names}
+    for path in sorted(Path(schurvar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"

@@ -8,7 +8,6 @@ import pytest
 
 import schurvar.regions
 from schurvar import (
-    BranchCutHit,
     CaratheodoryData,
     ContractViolation,
     Empty,
@@ -36,16 +35,17 @@ from schurvar.regions import (
     convexity_defect,
     enclosed_area,
     integrand,
-    log_derivative_curve,
-    log_derivative_setup,
     q_value,
 )
 
 from oracles import (
+    BranchCutHit,
     angle_grid,
     convex_hull,
     distance_to_boundary,
     hausdorff_distance,
+    log_derivative_curve,
+    log_derivative_setup,
     omega_nested,
     out_of_place_resampled,
     rolled_loop,
@@ -513,6 +513,11 @@ def test_request_rejects_bad_fields():
         dict(z0=complex(-math.inf, math.nan)),
         dict(samples=3),
         dict(samples=512.0),
+        # region() raised a bare AttributeError on these
+        dict(domain="half-plane"),
+        dict(domain=None),
+        dict(tol=None),
+        dict(tol={"quad_tol": 1e-10}),
     ):
         with pytest.raises(ContractViolation):
             RegionRequest(**{**good, **patch})
@@ -853,6 +858,36 @@ def test_oracle_rejects_bad_input_before_integrating(monkeypatch, patch):
     with pytest.raises(ContractViolation):
         oracle_samples((0.3,), half_plane(), seed=1, **{**good, **patch})
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "domain, seed",
+    [
+        ("half-plane", 1),
+        (None, 1),
+        (half_plane(), -1),
+        (half_plane(), 1.5),
+        (half_plane(), "7"),
+        (half_plane(), True),
+        (half_plane(), None),
+        (half_plane(), np.random.default_rng(1)),
+    ],
+    ids=["label", "no-domain", "negative", "float", "string", "bool", "no-seed", "generator"],
+)
+def test_oracle_checks_its_domain_and_seed_before_integrating(monkeypatch, domain, seed):
+    # a None or Generator seed drew differently on each call; the others
+    # raised a bare TypeError, numpy's ValueError or an AttributeError
+    calls = []
+    monkeypatch.setattr(schurvar.regions, "integrand", lambda *args: calls.append(args))
+    with pytest.raises(ContractViolation):
+        oracle_samples((0.3,), domain, 0, Z0, seed, 4)
+    assert calls == []
+
+
+def test_oracle_takes_any_integer_seed_as_its_value():
+    want = oracle_samples((0.3,), half_plane(), 0, Z0, 11, 4)
+    for seed in (np.int64(11), np.uint8(11)):
+        assert oracle_samples((0.3,), half_plane(), 0, Z0, seed, 4) == want
 
 
 def test_oracle_values_land_inside_the_sampled_region():
@@ -1282,6 +1317,31 @@ def test_enclosed_area_frozen_values():
     ellipse = 2.0 * np.cos(theta.imag) + 1j * np.sin(theta.imag)
     assert abs(enclosed_area(ellipse) - 2.0 * np.pi) < 1e-12
     assert abs(enclosed_area(circle()[::-1]) + np.pi) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [[True, False, True, True], [None] * 4, np.ones((4, 4)), np.ones((5, 3)), 1.0, ["1"] * 4],
+    ids=["bools", "nones", "4x4", "5x3", "scalar", "strings"],
+)
+def test_enclosed_area_refuses_what_is_not_a_sequence_of_numbers(boundary):
+    # these read as areas -0.3927, nan and 0.0, or raised numpy's errors
+    with pytest.raises(ContractViolation):
+        enclosed_area(boundary)
+
+
+def test_enclosed_area_keeps_the_value_of_every_kind_of_number():
+    v = circle(16) * (1.5 + 0.5j)
+    for boundary in (
+        v.tolist(),
+        [1, 3, 2j, -1],
+        np.array([1, 3, 2, 0], dtype=np.int8),
+        v.real.astype(np.float32),
+        v.astype(np.complex64),
+        v.astype(np.clongdouble),
+    ):
+        want = enclosed_area(np.asarray(boundary, dtype=np.complex128))
+        assert enclosed_area(boundary) == want
 
 
 def test_enclosed_area_is_stable_under_resampling():
