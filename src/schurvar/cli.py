@@ -67,11 +67,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_CLASSIFICATION_MISMATCH = 3
 EXIT_NUMERICAL_FAILURE = 4
 
-#: Largest ``--samples``.  A boundary integrates a few hundred epsilons and
-#: FFT-resamples them, so ``boundary`` peaks near 49 MB here (peak RSS of
-#: the process, order-3 half-plane data at |z0| 0.5 and 0.9).  A count
-#: whose spectral tries fail is integrated directly as (samples x 15)
-#: arrays: order-0 data 0.99 at |z0| = 0.95 peaks near 150 MB.
+#: Largest ``--samples``.  Peak RSS at 65536 here: 48 MB where the spectral
+#: tries succeed (order-3 half-plane data at |z0| 0.5 and 0.9; data 0.99 at
+#: 0.9); 141 MB, the most seen, where the samples are integrated directly as
+#: (samples x 15) arrays (65535 of data 0.993 at z0 0.914, j -1; exit 4).
 MAX_SAMPLES = 65536
 #: Largest ``--count``.  The oracle builds (count x nodes) complex arrays
 #: one Blaschke zero column at a time, with up to 48 nodes per rule pair:

@@ -29,13 +29,11 @@ types of its domain and tolerances, and :func:`oracle_samples` checks its
 loose arguments the same way.  The kernels behind them (:func:`integrand`,
 :func:`q_value`, :func:`boundary_curve` and the quadrature) state their
 preconditions and do not check them.  The polygon functions check that
-their points are numbers.  Closed forms of special cases, which only
-cross-check these regions, are not part of the package.
+their points are numbers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -53,6 +51,7 @@ from .schur import (
     Exterior,
     Interior,
     ToleranceConfig,
+    _as_number,
     data_from_parameters,
     schur_parameters,
 )
@@ -95,8 +94,6 @@ _BOUND_ELEMENTS = 2**16
 #: Rounding slack of the block bounds, relative to |q - centre| plus the
 #: polygon's extent: about 4500 ulps, where values and bounds err by a few.
 _BOUND_SLACK = 1e-12
-#: Sample counts whose angle grid :func:`_angle_grid` keeps at once.
-_ANGLE_GRIDS = 8
 
 
 # --------------------------------------------------------------------------
@@ -156,17 +153,19 @@ class SinglePoint:
     w0: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jordan:
     """Interior data: sampled closed boundary curve plus an interior point.
+    ``eps_angles`` derives the samples' angles from their count on each read;
+    results compare by identity."""
 
-    ``eps_angles`` is one read-only array shared by every region of the
-    same sample count; copy it before modifying it.
-    """
-
-    eps_angles: np.ndarray
     boundary: np.ndarray
     interior_witness: complex
+
+    @property
+    def eps_angles(self) -> np.ndarray:
+        n = len(self.boundary)
+        return 2.0 * np.pi * (np.arange(n) / n)
 
 
 RegionResult = Empty | SinglePoint | Jordan
@@ -229,7 +228,7 @@ def _check_weight_and_endpoint(j: int, z0: complex) -> tuple[int, complex]:
     j = _integer(j, "weight power j")
     if j < -1:
         raise ContractViolation("weight power j must be >= -1")
-    z0 = complex(z0)
+    z0 = _as_number(z0, "z0")
     if not (0.0 < abs(z0) < 1.0):
         raise ContractViolation("z0 must satisfy 0 < |z0| < 1")
     return j, z0
@@ -277,15 +276,6 @@ def _equispaced_values(
     return q_value(set_, j, z0, rows[:, None], domain, quad_tol)
 
 
-@functools.lru_cache(maxsize=_ANGLE_GRIDS)
-def _angle_grid(n_samples: int) -> np.ndarray:
-    """The angles ``2 pi k / n_samples`` of a boundary's samples, as one
-    read-only array shared by every :class:`Jordan` of ``n_samples``."""
-    angles = 2.0 * np.pi * (np.arange(n_samples) / n_samples)
-    angles.flags.writeable = False
-    return angles
-
-
 def boundary_curve(
     set_: SchurPolynomialSet,
     j: int,
@@ -294,10 +284,9 @@ def boundary_curve(
     n_samples: int,
     quad_tol: float = ToleranceConfig.quad_tol,
 ) -> Jordan:
-    """The region's :class:`Jordan`: the extremal values at ``n_samples``
-    equispaced unimodular epsilons, ``angles[k] = 2 pi k / n_samples``, and
-    the interior witness at ``epsilon = 0``.  ``angles`` is the shared,
-    read-only array of :func:`_angle_grid`.
+    """The region's :class:`Jordan`: the extremal values at the
+    ``n_samples`` equispaced unimodular epsilons ``exp(2 pi i k /
+    n_samples)``, and the interior witness at ``epsilon = 0``.
 
     A boundary value is a power series in ``epsilon`` whose coefficients
     decay like ``|z0|^k``.  The first batch integrates ``M`` equispaced
@@ -319,7 +308,6 @@ def boundary_curve(
     and a positive, finite ``quad_tol``: the fields of a valid
     :class:`RegionRequest`, which nothing here checks again.
     """
-    angles = _angle_grid(n_samples)
     decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
     m = min(n_samples, 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length())
     first = _equispaced_values(set_, j, z0, domain, m, quad_tol, True)  # and eps = 0
@@ -327,7 +315,7 @@ def boundary_curve(
     while m != n_samples:
         resampled = _resampled(values, n_samples, quad_tol)
         if resampled is not None:
-            return Jordan(eps_angles=angles, boundary=resampled, interior_witness=witness)
+            return Jordan(boundary=resampled, interior_witness=witness)
         if m > n_samples:
             break
         try:
@@ -340,7 +328,7 @@ def boundary_curve(
         m *= 2
     if m != n_samples:
         values = _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
-    return Jordan(eps_angles=angles, boundary=values, interior_witness=witness)
+    return Jordan(boundary=values, interior_witness=witness)
 
 
 def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):

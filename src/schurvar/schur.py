@@ -38,6 +38,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -57,8 +58,22 @@ __all__ = [
 ]
 
 
+def _as_number(value, what: str, kind: type = complex):
+    """``value`` as a Python ``kind`` (``complex`` or ``float``) bit for bit,
+    if it is a Python or numpy number (a real one for ``float``) other than a
+    bool that ``kind()`` takes; a ``ContractViolation`` otherwise."""
+    t = type(value)
+    numeric = numbers.Real if kind is float else numbers.Number
+    if t in (complex, float, int) or (t is not bool and isinstance(value, numeric)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ContractViolation(f"{what} must be a number, not {t.__name__}")
+
+
 def _as_finite_complex(value, what: str) -> complex:
-    w = complex(value)
+    w = _as_number(value, what)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ContractViolation(f"{what} must be finite, got {w!r}")
     return w
@@ -111,6 +126,8 @@ class ToleranceConfig:
     geom_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("cls_tol", "quad_tol", "geom_tol"):
+            object.__setattr__(self, name, _as_number(getattr(self, name), name, float))
         if not (0.0 < self.cls_tol < 1.0):
             raise ContractViolation("cls_tol must lie in (0, 1)")
         if not (0.0 < self.quad_tol < math.inf and 0.0 < self.geom_tol < math.inf):

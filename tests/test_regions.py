@@ -1,5 +1,6 @@
 """Region machinery: integrand, curve, dispatch, closed form, oracle, geometry."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -439,24 +440,19 @@ def test_boundary_of_a_large_region_converges(gamma, j, z0):
         assert abs(values[k] - want) < 1e-10
 
 
-def test_regions_of_one_sample_count_share_one_read_only_angle_grid():
-    a, b = (
-        region(RegionRequest.from_gamma(gamma, j=0, z0=Z0, domain=half_plane(), samples=64))
-        for gamma in ((0.5,), (0.2j, 0.3))
-    )
-    assert a.eps_angles is b.eps_angles
-    assert not a.eps_angles.flags.writeable
-    with pytest.raises(ValueError):
-        a.eps_angles[0] = 1.0
-    assert np.array_equal(a.eps_angles, angle_grid(64))
+def test_eps_angles_follow_each_result_s_own_sample_count():
+    a = region(RegionRequest.from_gamma((0.5,), j=0, z0=Z0, domain=half_plane(), samples=64))
     other = boundary_curve(build_polynomials((0.5,)), 0, Z0, half_plane(), 100)
-    assert other.eps_angles is not a.eps_angles
-    assert other.eps_angles.tobytes() == angle_grid(100).tobytes()
+    for result, n in ((a, 64), (other, 100)):
+        assert result.eps_angles.tobytes() == angle_grid(n).tobytes()
+    # the angles are derived on each read, so a write into one read is not kept
+    a.eps_angles[0] = 1.0
+    assert a.eps_angles.tobytes() == angle_grid(64).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 16, 511, 512, 4096])
 def test_angle_grid_is_bit_identical_to_the_per_result_form(n):
-    got = schurvar.regions._angle_grid(n)
+    got = Jordan(boundary=np.zeros(n, complex), interior_witness=0j).eps_angles
     assert got.dtype == np.float64
     assert got.tobytes() == angle_grid(n).tobytes()
 
@@ -477,9 +473,9 @@ def test_resampled_is_bit_identical_to_the_out_of_place_form(m, n):
     assert got.tobytes() == want.tobytes()
 
 
-def test_regions_of_one_sample_count_hold_one_angle_grid_between_them():
-    # deterministic memory counter: the distinct arrays that 50 results of
-    # 512 samples hold, against 50 * 512 * 24 bytes with a grid per result
+def test_regions_of_one_sample_count_hold_only_their_samples():
+    # deterministic memory counter: the arrays that 50 results of 512 samples
+    # store, against 50 * 512 * 24 bytes with an angle grid per result
     k, n = 50, 512
     results = [
         region(
@@ -489,8 +485,21 @@ def test_regions_of_one_sample_count_hold_one_angle_grid_between_them():
         )
         for i in range(k)
     ]
-    arrays = {id(a): a for r in results for a in (r.boundary, r.eps_angles)}
-    assert sum(a.nbytes for a in arrays.values()) == k * n * 16 + n * 8
+    assert [f.name for f in dataclasses.fields(Jordan)] == ["boundary", "interior_witness"]
+    held = [getattr(r, f.name) for r in results for f in dataclasses.fields(r)]
+    arrays = {id(a): a for a in held if isinstance(a, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) == k * n * 16
+
+
+def test_regions_compare_and_hash_by_identity():
+    # the generated value equality raised on the boundary array
+    request = RegionRequest.from_gamma((0.5, 0.2j), j=0, z0=Z0, domain=half_plane(), samples=64)
+    a, b = region(request), region(request)
+    assert a == a and a != b
+    assert a in [a] and a not in [b]
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert np.array_equal(a.boundary, b.boundary)
+    assert a.interior_witness == b.interior_witness
 
 
 # --------------------------------------------------------------------------

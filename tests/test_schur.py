@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ from schurvar import (
     Exterior,
     ExteriorReason,
     Interior,
+    RegionRequest,
     ToleranceConfig,
+    build_polynomials,
     data_from_parameters,
+    disk,
+    half_plane,
+    oracle_samples,
     schur_parameters,
 )
 from schurvar.schur import schur_step
@@ -369,3 +375,58 @@ def test_tolerances_validate():
             ToleranceConfig(quad_tol=bad)
         with pytest.raises(ContractViolation):
             ToleranceConfig(geom_tol=bad)
+
+
+_REQUEST = dict(data=(0.5, 0.375), j=0, z0=0.5, domain=half_plane())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # these built, reading the string, the bool or the complex value as a number
+        pytest.param(lambda: RegionRequest(**{**_REQUEST, "z0": "0.5"}), id="request-z0-str"),
+        pytest.param(
+            lambda: oracle_samples((0.5,), half_plane(), 0, "0.5", 1, 2), id="oracle-z0-str"
+        ),
+        pytest.param(lambda: CaratheodoryData(("0.5", "0.1")), id="data-str"),
+        pytest.param(lambda: CaratheodoryData((True, False)), id="data-bool"),
+        pytest.param(lambda: CaratheodoryData((np.bool_(True),)), id="data-numpy-bool"),
+        pytest.param(lambda: build_polynomials(("0.5",)), id="parameters-str"),
+        pytest.param(lambda: disk("1+1j", 2.0), id="disk-centre-str"),
+        pytest.param(lambda: disk(0, "2"), id="disk-radius-str"),
+        pytest.param(lambda: disk(0, True), id="disk-radius-bool"),
+        pytest.param(lambda: disk(0, 2 + 0j), id="disk-radius-complex"),
+        pytest.param(lambda: ToleranceConfig(quad_tol=True), id="tol-bool"),
+        pytest.param(lambda: ToleranceConfig(geom_tol=np.complex128(1e-6)), id="tol-complex"),
+        # these raised a bare TypeError or OverflowError, or built
+        pytest.param(lambda: ToleranceConfig(quad_tol="1e-10"), id="tol-str"),
+        pytest.param(
+            lambda: RegionRequest(**{**_REQUEST, "z0": np.array([0.5])}), id="request-z0-array"
+        ),
+        pytest.param(lambda: CaratheodoryData((None,)), id="data-none"),
+        pytest.param(lambda: CaratheodoryData((np.array(0.5),)), id="data-0-d-array"),
+        pytest.param(lambda: CaratheodoryData((b"0.5",)), id="data-bytes"),
+        pytest.param(lambda: CaratheodoryData((10**400,)), id="data-huge-int"),
+        pytest.param(lambda: disk(0, None), id="disk-radius-none"),
+    ],
+)
+def test_scalars_that_are_not_numbers_are_refused(build):
+    with pytest.raises(ContractViolation, match="must be a number"):
+        build()
+
+
+def test_numeric_scalars_keep_their_values_bit_for_bit():
+    z0 = np.complex64(0.3 + 0.1j)
+    assert RegionRequest(**{**_REQUEST, "z0": z0}).z0 == complex(z0)
+    data = CaratheodoryData((np.float32(0.1), 1, np.int64(0), 0.25j))
+    assert data.coeffs == (complex(np.float32(0.1)), 1, 0, 0.25j)
+    assert all(type(c) is complex for c in data.coeffs)
+    tol = ToleranceConfig(cls_tol=np.float32(1e-12), quad_tol=1, geom_tol=np.float64(1e-6))
+    assert (tol.cls_tol, tol.quad_tol, tol.geom_tol) == (float(np.float32(1e-12)), 1.0, 1e-6)
+    assert all(type(t) is float for t in (tol.cls_tol, tol.quad_tol, tol.geom_tol))
+    assert ToleranceConfig() == ToleranceConfig(1e-12, 1e-10, 1e-6)
+    assert disk(np.complex128(1 + 1j), np.int64(2)).label == "disk:1,1,2"
+    # a NaN or infinite z0 is refused by its range, as before
+    for z0 in (complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ContractViolation, match=re.escape("0 < |z0| < 1")):
+            RegionRequest(**{**_REQUEST, "z0": z0})

@@ -20,18 +20,31 @@ inputs; ``verify --seed 3 --draws 50``; one ``plot``;
 ``sample --count 10000 --seed 3 --j 0`` on the half-plane input at z0 0.9
 and 0.95; and the sizes the rest never asks for: ``boundary --samples
 1000`` on the half-plane input at z0 0.93, j 0, and on the strip input at
-z0 0.95, j -1 (a count that is not a power of two, resampled or
-integrated directly), ``boundary --samples 8`` (a count no larger than
-the first batch) and ``sample --count 0``, both on the half-plane input
-at z0 0.5, j 0.  Five refusals follow, for their exit codes and stderr:
-``classify`` on an input whose ``domain`` is the number 5 (exit 2),
-``boundary`` on boundary-class data (1, 0) (exit 3), ``plot`` of a CSV
-whose row has two fields (exit 2), ``boundary --domain disk:0,0,inf``
-on the half-plane input at z0 0.5 (exit 2) and ``verify --draws 0``
-(exit 2).  The script exits 1 if any
-command exits with another code than the grid expects of it (0 for all
-the rest), or prints a Python warning line (``file:line: ...Warning: ...``)
-on stderr.
+z0 0.95, j -1 (a count that is not a power of two, resampled from the
+first batch), ``boundary --samples 8`` (a count no larger than the first
+batch) and ``sample --count 0``, both on the half-plane input at z0 0.5,
+j 0.  Four ``boundary`` commands on the half-plane data (0.5,) and
+(0.993,) reach the paths of a first batch that does not resolve:
+
+* (0.5,) at z0 0.9, j 0: 256 epsilons, then 256 in between, giving the
+  512 samples exactly;
+* (0.5,) at z0 0.3, j 0, ``--samples 4096``: 32, then 32 in between, then
+  the 64 resampled up;
+* (0.5,) at z0 0.93, j 0, ``--samples 1000``: 512, then 512 in between,
+  then the 1024 folded down to 1000;
+* (0.993,) at z0 0.914, j -1, ``--samples 768``: 512, then an in-between
+  batch that does not converge, so the 768 are integrated directly.
+
+Six refusals follow, for their exit codes and stderr: ``classify`` on an
+input whose ``domain`` is the number 5 (exit 2), ``boundary`` on
+boundary-class data (1, 0) (exit 3), ``plot`` of a CSV whose row has two
+fields (exit 2), ``boundary --domain disk:0,0,inf`` on the half-plane
+input at z0 0.5 (exit 2), ``verify --draws 0`` (exit 2) and the last
+``boundary`` above at ``--samples 1024``, whose in-between batch holds
+epsilons of a direct batch and fails on them (exit 4).  The script exits
+1 if any command exits with another code than the grid expects of it (0
+for all the rest), or prints a Python warning line (``file:line:
+...Warning: ...``) on stderr.
 """
 
 from __future__ import annotations
@@ -60,7 +73,19 @@ INPUTS = {
         "domain": "half-plane",
     },
     "strip": {"coefficients": [[0.0, 0.0], [0.5, 0.0]], "domain": "strip"},
+    "half-plane-0.5": {"coefficients": [[0.5, 0.0]], "domain": "half-plane"},
+    "half-plane-0.993": {"coefficients": [[0.993, 0.0]], "domain": "half-plane"},
 }
+#: The inputs of the grid's ``boundary``, ``sample`` and ``classify`` loops.
+LOOPED = ("half-plane", "strip")
+#: ``(input, z0, j, samples)`` of each ``boundary`` command whose first batch
+#: does not resolve the requested samples.
+UNRESOLVED_FIRST = [
+    ("half-plane-0.5", "0.9", "0", "512"),
+    ("half-plane-0.5", "0.3", "0", "4096"),
+    ("half-plane-0.5", "0.93", "0", "1000"),
+    ("half-plane-0.993", "0.914", "-1", "768"),
+]
 WEIGHTS = ("-1", "0", "2")
 ENDPOINTS = ("0.5", "0.3+0.4i", "0.85")
 #: The boundary that ``plot`` renders.
@@ -82,6 +107,14 @@ REFUSALS = [
         2,
     ),
     ("verify-zero-draws", ["verify", "--draws", "0"], 2),
+    (
+        "boundary-half-plane-0.993-j-1-z0.914-1024",
+        [
+            "boundary", "--input", "../half-plane-0.993.json", "--z0=0.914", "--j", "-1",
+            "--samples", "1024", "--output", "curve.csv",
+        ],
+        4,
+    ),
 ]
 #: A line that the ``warnings`` module prints: ``file:line: CategoryWarning: text``.
 WARNING_LINE = re.compile(rb"^\S.*:\d+: \w*Warning: ", re.MULTILINE)
@@ -91,9 +124,9 @@ def grid() -> list[tuple[str, list[str]]]:
     """``(name, argv)`` per command, in run order; ``plot`` reads the CSV
     that an earlier ``boundary`` wrote."""
     commands = [
-        (f"classify-{label}", ["classify", "--input", f"../{label}.json"]) for label in INPUTS
+        (f"classify-{label}", ["classify", "--input", f"../{label}.json"]) for label in LOOPED
     ]
-    for label in INPUTS:
+    for label in LOOPED:
         for j in WEIGHTS:
             for z0 in ENDPOINTS:
                 region = ["--input", f"../{label}.json", f"--z0={z0}", "--j", j]
@@ -120,6 +153,10 @@ def grid() -> list[tuple[str, list[str]]]:
     argv = ["boundary", *region, "--samples", "8", "--output", "curve.csv"]
     commands.append(("boundary-half-plane-j0-z0.5-8", argv))
     commands.append(("sample-half-plane-j0-z0.5-0", ["sample", *region, "--count", "0"]))
+    for label, z0, j, samples in UNRESOLVED_FIRST:
+        region = ["--input", f"../{label}.json", f"--z0={z0}", "--j", j]
+        argv = ["boundary", *region, "--samples", samples, "--output", "curve.csv"]
+        commands.append((f"boundary-{label}-j{j}-z{z0}-{samples}", argv))
     return commands
 
 

@@ -7,8 +7,10 @@ workloads of ``bench/workloads.py`` for each of the seeds 1, 2 and 6, with
 ``DIR`` (default: the ``src/`` of this checkout) as the package, and hashes
 the ``repr`` of each operation's digest (the bytes the benchmark compares
 from round to round) in input order.  The benchmark's digests leave out the
-regions' angle grids, so a third line hashes the ``eps_angles`` bytes of the
-region of each ``boundary`` and ``membership`` operation.  It prints:
+regions' angles, so a third line hashes the ``eps_angles`` bytes of the
+region of each ``boundary`` and ``membership`` operation: a ``Jordan``
+derives them from its sample count, and the line checks that they keep
+their bytes.  It prints:
 
     boundary+classify <sha256>
     membership <sha256>
