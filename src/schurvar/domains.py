@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ContractViolation, DegenerateDenominator
-from .schur import _as_number
+from .schur import _as_finite_complex, _as_number
 
 __all__ = ["DomainMap", "half_plane", "disk", "strip", "parse_domain"]
 
@@ -91,10 +91,8 @@ def half_plane() -> DomainMap:
 
 def disk(center: complex = 0.0, radius: float = 1.0) -> DomainMap:
     """Affine disk target: ``P(z) = center + radius * z``."""
-    c = _as_number(center, "disk centre")
+    c = _as_finite_complex(center, "disk centre")
     r = _as_number(radius, "disk radius", float)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ContractViolation("disk centre must be finite")
     if not (0.0 < r < math.inf):
         raise ContractViolation("disk radius must be positive and finite")
 

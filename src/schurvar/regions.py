@@ -35,7 +35,6 @@ their points are numbers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -128,7 +127,7 @@ class RegionRequest:
             raise ContractViolation(f"tol must be a ToleranceConfig, not {kind}")
         _check_domain(self.domain)
         j, z0 = _check_weight_and_endpoint(self.j, self.z0)
-        samples = _integer(self.samples, "boundary sample count")
+        samples = _as_number(self.samples, "boundary sample count", int)
         if samples < _MIN_BOUNDARY_SAMPLES:
             raise ContractViolation(
                 f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
@@ -209,13 +208,6 @@ def integrand(set_: SchurPolynomialSet, epsilon, j: int, domain: DomainMap, zeta
     return out
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int: any ``numbers.Integral`` but a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ContractViolation(f"{name} must be an integer")
-    return int(value)
-
-
 def _check_domain(domain: DomainMap) -> None:
     if not isinstance(domain, DomainMap):
         raise ContractViolation(f"domain must be a DomainMap, not {type(domain).__name__}")
@@ -225,7 +217,7 @@ def _check_weight_and_endpoint(j: int, z0: complex) -> tuple[int, complex]:
     """The checks of a region computation's ``j`` and ``z0``: an integer
     weight power ``j >= -1``, and ``z0`` as a complex with ``0 < |z0| < 1``
     (NaN and infinite parts fail too)."""
-    j = _integer(j, "weight power j")
+    j = _as_number(j, "weight power j", int)
     if j < -1:
         raise ContractViolation("weight power j must be >= -1")
     z0 = _as_number(z0, "z0")
@@ -511,10 +503,10 @@ def oracle_samples(
     _check_domain(domain)
     j, z0 = _check_weight_and_endpoint(j, z0)
     ToleranceConfig(quad_tol=quad_tol)  # raises on a bad quad_tol
-    seed = _integer(seed, "seed")
+    seed = _as_number(seed, "seed", int)
     if seed < 0:
         raise ContractViolation("seed must be non-negative")
-    count = _integer(count, "sample count")
+    count = _as_number(count, "sample count", int)
     if count < 0:
         raise ContractViolation("sample count must be non-negative")
     if count == 0:

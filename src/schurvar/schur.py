@@ -58,18 +58,22 @@ __all__ = [
 ]
 
 
+_KINDS = {complex: numbers.Number, float: numbers.Real, int: numbers.Integral}
+
+
 def _as_number(value, what: str, kind: type = complex):
-    """``value`` as a Python ``kind`` (``complex`` or ``float``) bit for bit,
-    if it is a Python or numpy number (a real one for ``float``) other than a
-    bool that ``kind()`` takes; a ``ContractViolation`` otherwise."""
-    t = type(value)
-    numeric = numbers.Real if kind is float else numbers.Number
-    if t in (complex, float, int) or (t is not bool and isinstance(value, numeric)):
+    """``value`` as a Python ``kind`` (``complex``, ``float`` or ``int``) bit
+    for bit, if it is a Python or numpy number of that kind (any number for
+    ``complex``) other than a bool; a ``ContractViolation`` otherwise."""
+    if type(value) is not bool and isinstance(value, _KINDS[kind]):
         try:
             return kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
+            raise ContractViolation(f"{what} is too large for a float") from None
+        except (TypeError, ValueError):
             pass
-    raise ContractViolation(f"{what} must be a number, not {t.__name__}")
+    noun = "an integer" if kind is int else "a number"
+    raise ContractViolation(f"{what} must be {noun}, not {type(value).__name__}")
 
 
 def _as_finite_complex(value, what: str) -> complex:
