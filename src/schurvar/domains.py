@@ -131,8 +131,15 @@ def strip() -> DomainMap:
         _check_denominator(den, "strip derivative at z = +/-1")
         x = 2.0 * (w - w0) / den
         xr, xi = x.real, x.imag
-        log_u = 0.5 * np.log1p(xr * (xr + 2.0) + xi * xi) + 1j * np.arctan2(xi, 1.0 + xr)
-        return 2.0 * np.divide(log_u, x, out=np.ones_like(log_u), where=x != 0) / den
+        log_u = np.empty_like(x)
+        np.multiply(0.5, np.log1p(xr * (xr + 2.0) + xi * xi), out=log_u.real)
+        np.arctan2(xi, 1.0 + xr, out=log_u.imag)
+        log_u.imag += 0.0  # -0.0 reads +0.0, as in the complex sum re + 1j * im
+        with np.errstate(invalid="ignore", divide="ignore"):  # 0 / 0 where x = 0: L = 1
+            out = np.divide(log_u, x, out=log_u)
+        out[x == 0] = 1.0
+        np.multiply(2.0, out, out=out)
+        return np.divide(out, den, out=out)
 
     def inv(w):
         import numpy as np

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,10 +171,10 @@ class Jordan:
 RegionResult = Empty | SinglePoint | Jordan
 
 
-@dataclass(frozen=True)
-class OracleSample:
+class OracleSample(NamedTuple):
     """One random member of the region and the Blaschke product that
-    generates it: its zeros (as many as its degree) and front factor."""
+    generates it: its zeros (as many as its degree) and front factor.  A
+    record is a tuple: it unpacks, and it compares and hashes by value."""
 
     zeros: tuple[complex, ...]
     unimodular_factor: complex
@@ -400,9 +401,15 @@ def region(request: RegionRequest) -> RegionResult:
 
 
 def _raise_if_unresolved(jordan: Jordan) -> None:
-    """Name the fault of a rejected polygon whose samples all lie within
-    ``_UNRESOLVED_ULPS`` rounding units of the witness: the region is then
-    too small to be told apart from the rounding of its own centre."""
+    """Name the fault of a rejected polygon that floats cannot resolve.
+
+    When its samples all lie within ``_UNRESOLVED_ULPS`` rounding units of
+    the witness, the region is too small to be told apart from the rounding
+    of its own centre.  When they lie within ``spread`` of it with
+    ``(2 spread)^2`` below the smallest normal float, every product of two
+    edge lengths in the turn test underflows: the region is below the float
+    range.
+    """
     witness = jordan.interior_witness
     spread = float(np.max(np.abs(jordan.boundary - witness)))
     if spread <= _UNRESOLVED_ULPS * np.finfo(float).eps * abs(witness):
@@ -410,6 +417,12 @@ def _raise_if_unresolved(jordan: Jordan) -> None:
             f"region is below the rounding of its centre: its boundary samples "
             f"lie within {spread:.3g} of the interior witness, of magnitude "
             f"{abs(witness):.3g}"
+        ) from None
+    if (2.0 * spread) ** 2 < np.finfo(float).tiny:
+        raise GeometryDegenerate(
+            f"region is below the float range: its boundary samples lie within "
+            f"{spread:.3g} of the interior witness, so the products of its edge "
+            f"lengths fall below the smallest normal float"
         ) from None
 
 
@@ -435,10 +448,11 @@ def _draw_blaschke(
       next degree, starting from a half the generator already holds.  This
       integer-only pass records where each draw's uniforms start;
     * a uniform is ``(output >> 11) * 2**-53``, mapped once over the outputs
-      used and gathered into the padded radii, angles and fronts.
+      used and gathered into the drawn zeros' radii and angles and the
+      fronts.
 
-    A padded zero maps to exactly 0.  The generator is left past every
-    output drawn, used or not.
+    Only the drawn zeros are mapped to the disk; a padded slot stays exactly
+    0.  The generator is left past every output drawn, used or not.
     """
     bits = rng.bit_generator
     state = bits.state
@@ -464,16 +478,14 @@ def _draw_blaschke(
         starts[i] = at
         at += 2 * degrees[i] + 1
 
-    uniform = np.zeros(at + _MAX_BLASCHKE_DEGREE)  # and room for padded slots
-    uniform[:at] = (raws[:at] >> np.uint64(11)) * 2.0**-53
-    degree = np.array(degrees)
+    uniform = (raws[:at] >> np.uint64(11)) * 2.0**-53
+    degree, start = np.array(degrees), np.array(starts)
     mask = np.arange(_MAX_BLASCHKE_DEGREE) < degree[:, None]
-    radius_at = np.array(starts)[:, None] + np.arange(_MAX_BLASCHKE_DEGREE)
-    radial = np.where(mask, uniform[radius_at], 0.0)
-    angular = np.where(mask, uniform[radius_at + degree[:, None]], 0.0)
-    front = uniform[radius_at[:, 0] + 2 * degree]
-    zeros = 0.95 * np.sqrt(radial) * np.exp(1j * (2.0 * np.pi * angular))
-    return degrees, zeros, mask, np.exp(2j * np.pi * front)
+    radius_at = (start[:, None] + np.arange(_MAX_BLASCHKE_DEGREE))[mask]
+    angular = 2.0 * np.pi * uniform[radius_at + np.repeat(degree, degree)]
+    zeros = np.zeros((count, _MAX_BLASCHKE_DEGREE), dtype=np.complex128)
+    zeros[mask] = 0.95 * np.sqrt(uniform[radius_at]) * np.exp(1j * angular)
+    return degrees, zeros, mask, np.exp(2j * np.pi * uniform[start + 2 * degree])
 
 
 def oracle_samples(
@@ -493,9 +505,10 @@ def oracle_samples(
     come from one PCG64 stream seeded with ``seed``, as one
     ``integers(0, 7)`` and one ``random(2 * degree + 1)`` call per draw
     would give it (read from one batch of raw outputs, see
-    :func:`_draw_blaschke`).  The whole batch is integrated together, and
-    each zero's factor is multiplied only into the draws that have that
-    zero.  ``domain``, ``j`` and ``z0`` are checked as in
+    :func:`_draw_blaschke`).  The whole batch is integrated together,
+    sorted by degree, highest first, so that each zero's factor is
+    multiplied into the prefix of draws that have that zero; the values go
+    back in draw order.  ``domain``, ``j`` and ``z0`` are checked as in
     :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`,
     and ``seed`` and ``count`` as non-negative integers, before anything is
     integrated.
@@ -514,22 +527,25 @@ def oracle_samples(
     set_ = build_polynomials(gamma)
     rng = np.random.default_rng(seed)
     degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)
+    # by degree, highest first: the draws with a k-th zero are a prefix
+    order = np.argsort(-np.array(degrees), kind="stable")
+    sorted_zeros = zeros_mat[order]
+    sorted_fronts = fronts[order, None]
+    having = np.count_nonzero(mask, axis=0).tolist()
 
     def f(zeta):
         # one zero column at a time, so no array is larger than (count, nodes)
         product = np.ones((count, len(zeta)), dtype=np.complex128)
-        for zeros, used in zip(zeros_mat.T, mask.T):
-            z = zeros[used][:, None]
-            product[used] *= (zeta - z) / (1.0 - np.conjugate(z) * zeta)
-        return integrand(set_, fronts[:, None] * product, j, domain, zeta)
+        for k, n in enumerate(having):
+            z = sorted_zeros[:n, k, None]
+            product[:n] *= (zeta - z) / (1.0 - np.conjugate(z) * zeta)
+        return integrand(set_, sorted_fronts * product, j, domain, zeta)
 
-    values = np.atleast_1d(integrate_segment(f, z0, quad_tol))
-    return [
-        OracleSample(tuple(zeros[:degree]), front, value)
-        for degree, zeros, front, value in zip(
-            degrees, zeros_mat.tolist(), fronts.tolist(), values.tolist()
-        )
-    ]
+    values = np.empty(count, dtype=np.complex128)
+    values[order] = integrate_segment(f, z0, quad_tol)
+    drawn = zeros_mat[mask].tolist()  # each draw's zeros in turn
+    zeros = [tuple(drawn[end - d : end]) for d, end in zip(degrees, accumulate(degrees))]
+    return list(map(OracleSample._make, zip(zeros, fronts.tolist(), values.tolist())))
 
 
 # --------------------------------------------------------------------------
@@ -646,7 +662,8 @@ def _outward_depths(v: np.ndarray, queries: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite and huge queries
         for lo in range(0, len(queries), rows_per_pass):
             q = queries[lo : lo + rows_per_pass]
-            local = conj_m[:, None] * (q[None, :] - anchor[:, None])
+            local = np.subtract(q[None, :], anchor[:, None])
+            local *= conj_m[:, None]  # in place: one (blocks, queries) temporary
             x = local.real
             lower = floor[:, None] + x - np.abs(x) * along - np.abs(local.imag) * across
             ceiling = np.min(x, axis=0) + _BOUND_SLACK * (np.abs(q - centre) + extent)

@@ -231,7 +231,7 @@ def schur_parameters(
         g = p[0]
         m = abs(g)
         j = len(gamma)
-        if m > 1.0 + band:
+        if m - 1.0 > band:  # as the band test below rounds it: one class each
             return Exterior(witness_index=j, reason=ExteriorReason.MODULUS_EXCEEDS_ONE)
         if abs(m - 1.0) <= band:
             if any(abs(x) > band for x in _tail(p, q, g)):

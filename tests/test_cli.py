@@ -252,6 +252,21 @@ def test_boundary_of_a_region_below_the_rounding_of_its_centre(capsys, write_jso
     assert "region is below the rounding of its centre" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("coeffs", "j", "samples"),
+    [
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "1000", "16"),
+        ((0.0,) * 1001, "0", "64"),
+    ],
+    ids=["j1000", "order1000"],
+)
+def test_boundary_of_a_region_below_the_float_range(capsys, write_json, coeffs, j, samples):
+    payload = {"coefficients": [[c.real, c.imag] for c in coeffs], "domain": "half-plane"}
+    argv = ["boundary", "--input", write_json(payload), "--z0", "0.5", "--j", j]
+    assert main([*argv, "--samples", samples]) == 4
+    assert "region is below the float range" in capsys.readouterr().err
+
+
 def test_quad_tol_env_var_is_ignored(capsys, write_json, monkeypatch):
     # --quad-tol is the one way to set the tolerance: 1e-18 through it exits
     # 4 (test_boundary_impossible_tolerance); from the environment it is unread

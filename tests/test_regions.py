@@ -899,6 +899,48 @@ def test_oracle_takes_any_integer_seed_as_its_value():
         assert oracle_samples((0.3,), half_plane(), 0, Z0, seed, 4) == want
 
 
+def test_oracle_batch_prefix_equals_a_smaller_batch_bit_for_bit(monkeypatch):
+    # the draws are integrated sorted by degree and put back in draw order;
+    # at |z0| = 0.3 one rule-pair call accepts each batch, so a prefix of
+    # the larger batch must be the smaller batch to the last bit
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrand(*args)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", counting)
+    gamma = (0.3 + 0.2j, -0.4j, 0.5)
+    for domain in (half_plane(), strip()):
+        for k, n in ((1, 40), (7, 40), (23, 300)):
+            calls.clear()
+            small = oracle_samples(gamma, domain, 0, Z0, 19, k)
+            large = oracle_samples(gamma, domain, 0, Z0, 19, n)
+            assert len(calls) == 2  # the rule pair accepted both batches
+            assert large[:k] == small
+            degrees = [len(s.zeros) for s in large]
+            assert degrees != sorted(degrees, reverse=True)  # the sort permutes them
+            got = np.array([s.value for s in large[:k]])
+            want = np.array([s.value for s in small])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_sample_is_an_immutable_value_tuple():
+    s = schurvar.OracleSample((0.5j, -0.25), 1j, 0.125 + 0.5j)
+    assert schurvar.OracleSample._fields == ("zeros", "unimodular_factor", "value")
+    assert s == ((0.5j, -0.25), 1j, 0.125 + 0.5j)
+    assert hash(s) == hash(((0.5j, -0.25), 1j, 0.125 + 0.5j))
+    zeros, front, value = s
+    assert (zeros, front, value) == (s.zeros, s.unimodular_factor, s.value)
+    assert s._replace(value=0.0) == ((0.5j, -0.25), 1j, 0.0)
+    for name in ("zeros", "unimodular_factor", "value"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0.0)
+    draws = oracle_samples((0.3,), half_plane(), 0, Z0, 4, 12)
+    assert all(type(d) is schurvar.OracleSample for d in draws)
+    assert len(set(draws + draws)) == len(set(draws))
+
+
 def test_oracle_values_land_inside_the_sampled_region():
     # 2048 boundary samples keep the inscribed-polygon chord gap well
     # below the membership tolerance for a region this size
@@ -1089,6 +1131,22 @@ def test_region_below_the_rounding_of_its_centre_is_named(j, z0):
     # fails on them as "winds 0 times" or "non-convex"
     req = RegionRequest.from_gamma((0.3, 0.2j), j=j, z0=z0, domain=half_plane())
     with pytest.raises(GeometryDegenerate, match="^region is below the rounding of its centre"):
+        region(req)
+
+
+@pytest.mark.parametrize(
+    ("data", "j", "samples"),
+    [
+        (data_from_parameters((0.3, 0.2j)), 1000, 16),
+        (CaratheodoryData((0.0,) * 1001), 0, 64),
+    ],
+    ids=["j1000", "order1000"],
+)
+def test_region_below_the_float_range_is_named(data, j, samples):
+    # the samples are about 2e-308 in size, so the turn test's products of
+    # edge lengths underflow to NaN
+    req = RegionRequest(data=data, j=j, z0=0.5, domain=half_plane(), samples=samples)
+    with pytest.raises(GeometryDegenerate, match="^region is below the float range"):
         region(req)
 
 

@@ -192,6 +192,14 @@ def test_classification_trichotomy(data):
         assert 0 <= cls.witness_index < len(data)
 
 
+def test_modulus_at_the_band_edge_takes_exactly_one_class():
+    # gamma_1 = 1 / (1 - 1e-12) reads 1.000000000001: not above the rounded
+    # 1 + cls_tol, yet |m - 1| is above cls_tol, so it is neither boundary
+    # nor interior
+    cls = schur_parameters((1e-6, 1.0))
+    assert cls == Exterior(witness_index=1, reason=ExteriorReason.MODULUS_EXCEEDS_ONE)
+
+
 # --------------------------------------------------------------------------
 # data_from_parameters
 
@@ -244,7 +252,7 @@ def reference_peel(c, band=1e-12):
     gamma = []
     while True:
         g, j = work[0], len(gamma)
-        if abs(g) > 1.0 + band:
+        if abs(g) - 1.0 > band:
             return Exterior(j, ExteriorReason.MODULUS_EXCEEDS_ONE)
         if abs(abs(g) - 1.0) <= band:
             if any(abs(x) > band for x in work[1:]):

@@ -35,13 +35,16 @@ j 0.  Four ``boundary`` commands on the half-plane data (0.5,) and
 * (0.993,) at z0 0.914, j -1, ``--samples 768``: 512, then an in-between
   batch that does not converge, so the 768 are integrated directly.
 
-Six refusals follow, for their exit codes and stderr: ``classify`` on an
+Eight refusals follow, for their exit codes and stderr: ``classify`` on an
 input whose ``domain`` is the number 5 (exit 2), ``boundary`` on
 boundary-class data (1, 0) (exit 3), ``plot`` of a CSV whose row has two
 fields (exit 2), ``boundary --domain disk:0,0,inf`` on the half-plane
-input at z0 0.5 (exit 2), ``verify --draws 0`` (exit 2) and the last
+input at z0 0.5 (exit 2), ``verify --draws 0`` (exit 2), the last
 ``boundary`` above at ``--samples 1024``, whose in-between batch holds
-epsilons of a direct batch and fails on them (exit 4).  The script exits
+epsilons of a direct batch and fails on them (exit 4), and two regions
+below the float range at z0 0.5 on the half-plane (exit 4): the data of
+gamma = (0.3, 0.2i) at j 1000 with 16 samples, and order-1000 zero data
+at j 0 with 64 samples.  The script exits
 1 if any command exits with another code than the grid expects of it (0
 for all the rest), or prints a Python warning line (``file:line:
 ...Warning: ...``) on stderr.
@@ -95,6 +98,10 @@ REFUSED_FILES = {
     "label-5.json": json.dumps({"coefficients": [[0.0, 0.0], [0.5, 0.0]], "domain": 5}),
     "boundary-class.json": json.dumps({"coefficients": [[1.0, 0.0], [0.0, 0.0]]}),
     "malformed.csv": "theta,re,im\n0.0,1.0\n",
+    "order-1.json": json.dumps(
+        {"coefficients": [[0.3, 0.0], [0.0, 0.18200000000000002]], "domain": "half-plane"}
+    ),
+    "zeros-1001.json": json.dumps({"coefficients": [[0.0, 0.0]] * 1001, "domain": "half-plane"}),
 }
 #: ``(name, argv, exit code)`` of each command that must be refused.
 REFUSALS = [
@@ -112,6 +119,22 @@ REFUSALS = [
         [
             "boundary", "--input", "../half-plane-0.993.json", "--z0=0.914", "--j", "-1",
             "--samples", "1024", "--output", "curve.csv",
+        ],
+        4,
+    ),
+    (
+        "boundary-order-1-j1000-16",
+        [
+            "boundary", "--input", "../order-1.json", "--z0=0.5", "--j", "1000",
+            "--samples", "16", "--output", "curve.csv",
+        ],
+        4,
+    ),
+    (
+        "boundary-zeros-1001-j0-64",
+        [
+            "boundary", "--input", "../zeros-1001.json", "--z0=0.5", "--j", "0",
+            "--samples", "64", "--output", "curve.csv",
         ],
         4,
     ),

@@ -10,11 +10,15 @@ from round to round) in input order.  The benchmark's digests leave out the
 regions' angles, so a third line hashes the ``eps_angles`` bytes of the
 region of each ``boundary`` and ``membership`` operation: a ``Jordan``
 derives them from its sample count, and the line checks that they keep
-their bytes.  It prints:
+their bytes.  The benchmark's ``membership`` digest holds the depths of the
+oracle's values but not the draws, so a fourth line calls
+``oracle_samples`` on each ``membership`` input, as the operation does, and
+hashes the bytes of every draw's zeros, front factor and value.  It prints:
 
     boundary+classify <sha256>
     membership <sha256>
     eps_angles <sha256>
+    oracle <sha256>
 
 Equal lines for two trees mean that those operations gave the same bits:
 
@@ -33,6 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 6)
 #: Each printed line and the workloads it hashes, in order.
@@ -42,9 +48,22 @@ GROUPS = (("boundary+classify", ("boundary", "classify")), ("membership", ("memb
 REGION_OF = {"boundary": lambda out: out, "membership": lambda out: out[0]}
 
 
+def oracle_draws(sv, wl, h) -> None:
+    """Feed ``h`` the bytes of every draw of ``oracle_samples`` on each input
+    of the ``membership`` workload ``wl``: zeros, then front and value."""
+    for req in wl.requests:
+        gamma = sv.schur_parameters(req.data, req.tol).gamma
+        draws = sv.oracle_samples(
+            gamma, req.domain, req.j, req.z0, wl.oracle_seed, wl.DRAWS, req.tol.quad_tol
+        )
+        for s in draws:
+            h.update(np.array(s.zeros, dtype=np.complex128).tobytes())
+            h.update(np.array([s.unimodular_factor, s.value]).tobytes())
+
+
 def digests(src: Path) -> list[tuple[str, str]]:
     """``(label, hex digest)`` per line of :data:`GROUPS`, then the
-    ``eps_angles`` line."""
+    ``eps_angles`` and ``oracle`` lines."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     import schurvar as sv
@@ -53,7 +72,7 @@ def digests(src: Path) -> list[tuple[str, str]]:
     if Path(sv.__file__).resolve().parent != src.resolve() / "schurvar":
         sys.exit(f"digests: imported schurvar from {sv.__file__}, not from {src}")
     out = []
-    angles = hashlib.sha256()
+    angles, oracle = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         for label, names in GROUPS:
             h = hashlib.sha256()
@@ -65,8 +84,11 @@ def digests(src: Path) -> list[tuple[str, str]]:
                         h.update(repr(wl.digest(result)).encode())
                         if name in REGION_OF:
                             angles.update(REGION_OF[name](result).eps_angles.tobytes())
+                    if name == "membership":
+                        oracle_draws(sv, wl, oracle)
             out.append((label, h.hexdigest()))
     out.append(("eps_angles", angles.hexdigest()))
+    out.append(("oracle", oracle.hexdigest()))
     return out
 
 
