@@ -19,11 +19,15 @@ modules when they run, so the other three start without that cost.
 
 Exit codes: 0 success, 1 property failure (verify), 2 malformed input,
 3 classification mismatch (region commands on non-interior data),
-4 numerical failure (quadrature or geometry).  ``--samples`` is capped
-at ``MAX_SAMPLES`` and ``--count`` at ``MAX_COUNT``, so that no request can
-exhaust memory; larger values, a negative ``--count`` and a ``--draws``
-below 1 exit 2 before anything is computed.  All output is
-deterministic for fixed input bytes, flags, and seed.
+4 numerical failure (quadrature or geometry).  This module parses the
+arguments and maps failures to exit codes; the library checks the request.
+:class:`RegionRequest` caps ``--samples`` at ``MAX_SAMPLES``, and
+:func:`oracle_samples` caps ``--count`` at ``MAX_COUNT`` and refuses a
+negative ``--count`` or ``sample --seed``: such values exit 2 after the
+data is classified (non-interior data exits 3 first) and before anything
+is integrated.  ``verify`` refuses a ``--draws`` below 1 and a negative
+``--seed`` itself.  All output is deterministic for fixed input bytes,
+flags, and seed.
 
 Complex values serialize as two-element ``[re, im]`` arrays in JSON and
 two CSV columns; ``--z0`` accepts ``a+bi`` notation, as ``--z0=-0.3+0.4i``
@@ -53,6 +57,7 @@ from .schur import (
     Exterior,
     Interior,
     ToleranceConfig,
+    _as_number,
     schur_parameters,
 )
 
@@ -67,16 +72,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_CLASSIFICATION_MISMATCH = 3
 EXIT_NUMERICAL_FAILURE = 4
 
-#: Largest ``--samples``.  Peak RSS at 65536 here: 48 MB where the spectral
-#: tries succeed (order-3 half-plane data at |z0| 0.5 and 0.9; data 0.99 at
-#: 0.9); 141 MB, the most seen, where the samples are integrated directly as
-#: (samples x 15) arrays (65535 of data 0.993 at z0 0.914, j -1; exit 4).
-MAX_SAMPLES = 65536
-#: Largest ``--count``.  The oracle builds (count x nodes) complex arrays
-#: one Blaschke zero column at a time, with up to 48 nodes per rule pair:
-#: ``sample`` peaks near 57 MB here at |z0| = 0.5 and 85 MB at 0.9, where
-#: the pair is largest (same data).
-MAX_COUNT = 10000
 _VERIFY_LAWS = ("mirror", "determinant", "coercivity", "domination")
 _VERIFY_BOUND = 1e-10
 _NUMERICAL_ERRORS = (QuadratureNonConvergence, DegenerateDenominator, GeometryDegenerate)
@@ -95,22 +90,15 @@ def _pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def _number(value, what: str = "coefficients") -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be JSON numbers, got {type(value).__name__}")
-    return float(value)
-
-
 def _load_input(path: str, domain_override: str | None) -> tuple[CaratheodoryData, DomainMap]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "coefficients" not in payload:
         raise ValueError("input JSON must be an object with a 'coefficients' key")
-    try:
-        coeffs = [complex(_number(re), _number(im)) for re, im in payload["coefficients"]]
-    except OverflowError:  # an integer too large for a float: JSON reads it exactly
-        raise ValueError("coefficient too large for a float") from None
+    coeffs = [
+        complex(_as_number(re, "coefficient", float), _as_number(im, "coefficient", float))
+        for re, im in payload["coefficients"]
+    ]
     data = CaratheodoryData(tuple(coeffs))
     return data, parse_domain(domain_override or payload.get("domain", "half-plane"))
 
@@ -149,20 +137,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _check_size(flag: str, value: int, cap: float = math.inf, least: float = 0) -> None:
-    """Refuse a size flag outside [least, cap] before anything is computed
-    (``--samples`` has no least here: RegionRequest needs 4 and says so)."""
-    if value < least:
-        bound = "non-negative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{flag} must be {bound}, got {value}")
-    if value > cap:
-        raise ValueError(f"{flag} must be at most {cap}, got {value}")
-
-
 def _interior_request(args) -> tuple[RegionRequest, Interior]:
     from .regions import RegionRequest
 
-    _check_size("--samples", args.samples, MAX_SAMPLES, least=-math.inf)
     data, domain = _load_input(args.input, args.domain)
     tol = ToleranceConfig(quad_tol=args.quad_tol)
     cls = schur_parameters(data, tol)
@@ -209,24 +186,21 @@ def cmd_boundary(args) -> int:
 def cmd_sample(args) -> int:
     from .regions import containment_depths, oracle_samples, region
 
-    _check_size("--count", args.count, MAX_COUNT)
-    _check_size("--seed", args.seed)
     request, cls = _interior_request(args)
+    draws = oracle_samples(
+        cls.gamma,
+        request.domain,
+        request.j,
+        request.z0,
+        args.seed,
+        args.count,
+        request.tol.quad_tol,
+    )
     payload: dict[str, object]
-    if args.count == 0:
+    if not draws:
         payload = {"count": 0, "inside": 0, "max_signed_distance": None}
     else:
-        result = region(request)
-        draws = oracle_samples(
-            cls.gamma,
-            request.domain,
-            request.j,
-            request.z0,
-            args.seed,
-            args.count,
-            request.tol.quad_tol,
-        )
-        depths = containment_depths(result, [s.value for s in draws])
+        depths = containment_depths(region(request), [s.value for s in draws])
         inside = int((depths <= request.tol.geom_tol).sum())
         payload = {
             "count": args.count,
@@ -251,8 +225,10 @@ def cmd_verify(args) -> int:
 
     from .polynomials import identity_residuals
 
-    _check_size("--draws", args.draws, least=1)
-    _check_size("--seed", args.seed)
+    if args.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(_VERIFY_LAWS, 0.0)
     for _ in range(args.draws):
@@ -277,12 +253,12 @@ def _parse_curve_csv(text: str):
     witness: complex | None = None
     for line in lines[1:]:
         if line.startswith("#"):
-            sidecar = json.loads(line[1:], parse_int=float)  # a huge integer is inf
+            sidecar = json.loads(line[1:])
             if not isinstance(sidecar, dict):
                 raise ValueError(f"CSV comment is not a JSON object: {line!r}")
             if "interior_witness" in sidecar:
                 parts = sidecar["interior_witness"]
-                re, im = (_number(x, "interior_witness parts") for x in parts)
+                re, im = (_as_number(x, "interior_witness part", float) for x in parts)
                 witness = _finite_point(re, im, line)
             continue
         fields = line.split(",")
@@ -477,14 +453,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except (
-        ContractViolation,
-        ValueError,
-        TypeError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ContractViolation, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

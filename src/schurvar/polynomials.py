@@ -134,22 +134,19 @@ def build_polynomials(gamma: Sequence[complex]) -> SchurPolynomialSet:
     gams = check_parameters(gamma)
     n = len(gams) - 1
     g0 = gams[0]
-    if n == 0:
-        coeffs = np.array([[g0.conjugate()], [1.0], [1.0], [g0]], dtype=np.complex128)
-    else:
-        # rows: top (A, At), bottom (B, Bt); shifted is top times z
-        top = np.zeros((2, n + 1), dtype=np.complex128)
-        bottom = np.zeros((2, n + 1), dtype=np.complex128)
-        shifted = np.zeros((2, n + 1), dtype=np.complex128)
-        top[:, 0] = (g0.conjugate(), 1.0)
-        bottom[:, 0] = (1.0, g0)
-        for g in gams[1:]:
-            shifted[:, 1:] = top[:, :-1]
-            top = shifted + g.conjugate() * bottom
-            bottom = g * shifted + bottom
-        coeffs = np.empty((4, n + 1), dtype=np.complex128)
-        coeffs[0::2] = top
-        coeffs[1::2] = bottom
+    # rows: top (A, At), bottom (B, Bt); shifted is top times z
+    top = np.zeros((2, n + 1), dtype=np.complex128)
+    bottom = np.zeros((2, n + 1), dtype=np.complex128)
+    shifted = np.zeros((2, n + 1), dtype=np.complex128)
+    top[:, 0] = (g0.conjugate(), 1.0)
+    bottom[:, 0] = (1.0, g0)
+    for g in gams[1:]:
+        shifted[:, 1:] = top[:, :-1]
+        top = shifted + g.conjugate() * bottom
+        bottom = g * shifted + bottom
+    coeffs = np.empty((4, n + 1), dtype=np.complex128)
+    coeffs[0::2] = top
+    coeffs[1::2] = bottom
     coeffs.flags.writeable = False
     return SchurPolynomialSet(gamma=gams, coeffs=coeffs)
 

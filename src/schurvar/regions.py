@@ -70,6 +70,17 @@ __all__ = [
 ]
 
 _MIN_BOUNDARY_SAMPLES = 4
+#: Largest boundary sample count.  Peak RSS of ``schurvar boundary`` at 65536
+#: on a 2-vCPU x86-64 host: 48 MB where the spectral tries succeed (order-3
+#: half-plane data at |z0| 0.5 and 0.9; data 0.99 at 0.9); 141 MB, the most
+#: seen, where the samples are integrated directly as (samples x 15) arrays
+#: (65535 of data 0.993 at z0 0.914, j -1; exit 4).
+MAX_SAMPLES = 65536
+#: Largest oracle draw count.  The oracle builds (count x nodes) complex
+#: arrays one Blaschke zero column at a time, with up to 48 nodes per rule
+#: pair: ``schurvar sample`` peaks near 57 MB at 10000 draws at |z0| = 0.5
+#: and 85 MB at 0.9, where the pair is largest (same data and host).
+MAX_COUNT = 10000
 #: Fewest equispaced epsilons the spectral boundary integrates.
 _MIN_SPECTRAL_SAMPLES = 16
 _MIN_POLYGON_POINTS = 3
@@ -105,10 +116,11 @@ class RegionRequest:
     """A fully specified region computation, validated once here.
 
     ``j >= -1`` (integer weight power), ``0 < |z0| < 1``, an integer
-    ``samples >= 4`` (the default 512 is what the containment tolerances
-    are calibrated for; tiny counts are allowed for smoke tests and quick
-    plots), a :class:`DomainMap` ``domain`` and a :class:`ToleranceConfig`
-    ``tol``; ``data`` and ``tol`` check themselves.  ``j`` and ``samples``
+    ``4 <= samples <= MAX_SAMPLES`` (the default 512 is what the containment
+    tolerances are calibrated for; tiny counts are allowed for smoke tests
+    and quick plots; the cap keeps a request from exhausting memory), a
+    :class:`DomainMap` ``domain`` and a :class:`ToleranceConfig` ``tol``;
+    ``data`` and ``tol`` check themselves.  ``j`` and ``samples``
     are stored as Python ints.  The kernels behind :func:`region` rely on
     these checks and do not repeat them.
     """
@@ -129,9 +141,9 @@ class RegionRequest:
         _check_domain(self.domain)
         j, z0 = _check_weight_and_endpoint(self.j, self.z0)
         samples = _as_number(self.samples, "boundary sample count", int)
-        if samples < _MIN_BOUNDARY_SAMPLES:
+        if not _MIN_BOUNDARY_SAMPLES <= samples <= MAX_SAMPLES:
             raise ContractViolation(
-                f"boundary needs at least {_MIN_BOUNDARY_SAMPLES} samples"
+                f"boundary takes {_MIN_BOUNDARY_SAMPLES} to {MAX_SAMPLES} samples, got {samples}"
             )
         for name, value in (("j", j), ("z0", z0), ("samples", samples)):
             object.__setattr__(self, name, value)
@@ -404,21 +416,22 @@ def _raise_if_unresolved(jordan: Jordan) -> None:
     """Name the fault of a rejected polygon that floats cannot resolve.
 
     When its samples all lie within ``_UNRESOLVED_ULPS`` rounding units of
-    the witness, the region is too small to be told apart from the rounding
-    of its own centre.  When they lie within ``spread`` of it with
-    ``(2 spread)^2`` below the smallest normal float, every product of two
-    edge lengths in the turn test underflows: the region is below the float
-    range.
+    a witness of normal magnitude, the region is too small to be told apart
+    from the rounding of its own centre.  When they lie within ``spread`` of
+    the witness with ``(2 spread)^2`` below the smallest normal float, every
+    product of two edge lengths in the turn test underflows: the region is
+    below the float range, which a witness that underflows to 0 is too.
     """
     witness = jordan.interior_witness
     spread = float(np.max(np.abs(jordan.boundary - witness)))
-    if spread <= _UNRESOLVED_ULPS * np.finfo(float).eps * abs(witness):
+    tiny = np.finfo(float).tiny
+    if tiny <= abs(witness) and spread <= _UNRESOLVED_ULPS * np.finfo(float).eps * abs(witness):
         raise GeometryDegenerate(
             f"region is below the rounding of its centre: its boundary samples "
             f"lie within {spread:.3g} of the interior witness, of magnitude "
             f"{abs(witness):.3g}"
         ) from None
-    if (2.0 * spread) ** 2 < np.finfo(float).tiny:
+    if (2.0 * spread) ** 2 < tiny:
         raise GeometryDegenerate(
             f"region is below the float range: its boundary samples lie within "
             f"{spread:.3g} of the interior witness, so the products of its edge "
@@ -510,8 +523,9 @@ def oracle_samples(
     multiplied into the prefix of draws that have that zero; the values go
     back in draw order.  ``domain``, ``j`` and ``z0`` are checked as in
     :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`,
-    and ``seed`` and ``count`` as non-negative integers, before anything is
-    integrated.
+    ``seed`` as a non-negative integer, ``count`` as an integer in ``[0,
+    MAX_COUNT]`` and ``gamma`` as interior parameters, at any ``count`` and
+    before anything is drawn or integrated.
     """
     _check_domain(domain)
     j, z0 = _check_weight_and_endpoint(j, z0)
@@ -520,11 +534,11 @@ def oracle_samples(
     if seed < 0:
         raise ContractViolation("seed must be non-negative")
     count = _as_number(count, "sample count", int)
-    if count < 0:
-        raise ContractViolation("sample count must be non-negative")
+    if not 0 <= count <= MAX_COUNT:
+        raise ContractViolation(f"sample count must be from 0 to {MAX_COUNT}, got {count}")
+    set_ = build_polynomials(gamma)
     if count == 0:
         return []
-    set_ = build_polynomials(gamma)
     rng = np.random.default_rng(seed)
     degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)
     # by degree, highest first: the draws with a k-th zero are a prefix

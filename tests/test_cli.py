@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import schurvar.regions
-from schurvar.cli import MAX_COUNT, MAX_SAMPLES, main
+from schurvar.cli import main
+from schurvar.regions import MAX_COUNT, MAX_SAMPLES
 
 INTERIOR = {"coefficients": [[0.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
 BOUNDARY = {"coefficients": [[1.0, 0.0], [0.0, 0.0]], "domain": "half-plane"}
@@ -116,6 +117,24 @@ def test_coefficient_too_large_for_a_float(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value", ['"0.5"', "true", "1" + "0" * 400], ids=["string", "bool", "huge"]
+)
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_a_coefficient_that_is_not_a_float_is_invalid_input(capsys, tmp_path, value, part):
+    # a numeric string, a boolean and an integer that overflows a float, in
+    # either part of a coefficient pair
+    pair = f"[{value}, 0.25]" if part == "re" else f"[0.25, {value}]"
+    path = tmp_path / "data.json"
+    path.write_text('{"coefficients": [[0.0, 0.0], ' + pair + "]}")
+    for command in (["classify"], ["boundary", "--z0", "0.3"]):
+        code = main([*command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("invalid input: coefficient")
+        assert captured.err.count("\n") == 1
 
 
 def test_bad_z0_values(capsys, write_json):
@@ -253,16 +272,20 @@ def test_boundary_of_a_region_below_the_rounding_of_its_centre(capsys, write_jso
 
 
 @pytest.mark.parametrize(
-    ("coeffs", "j", "samples"),
+    ("coeffs", "j", "z0", "samples"),
     [
-        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "1000", "16"),
-        ((0.0,) * 1001, "0", "64"),
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "1000", "0.5", "16"),
+        ((0.0,) * 1001, "0", "0.5", "64"),
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "2000", "0.5", "16"),
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "100000", "0.5", "16"),
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "2", "1e-100", "512"),
+        (schurvar.data_from_parameters((0.3, 0.2j)).coeffs, "0", "1e-200", "512"),
     ],
-    ids=["j1000", "order1000"],
+    ids=["j1000", "order1000", "j2000", "j100000", "z0-1e-100", "z0-1e-200"],
 )
-def test_boundary_of_a_region_below_the_float_range(capsys, write_json, coeffs, j, samples):
+def test_boundary_of_a_region_below_the_float_range(capsys, write_json, coeffs, j, z0, samples):
     payload = {"coefficients": [[c.real, c.imag] for c in coeffs], "domain": "half-plane"}
-    argv = ["boundary", "--input", write_json(payload), "--z0", "0.5", "--j", j]
+    argv = ["boundary", "--input", write_json(payload), "--z0", z0, "--j", j]
     assert main([*argv, "--samples", samples]) == 4
     assert "region is below the float range" in capsys.readouterr().err
 
@@ -331,9 +354,8 @@ def refuse(*args, **kwargs):
 def test_sizes_above_their_caps_are_refused_before_computing(
     capsys, write_json, monkeypatch, command, flag, value
 ):
-    # the handlers import these from their module when they run
-    monkeypatch.setattr(schurvar.regions, "region", refuse)
-    monkeypatch.setattr(schurvar.regions, "oracle_samples", refuse)
+    # RegionRequest and oracle_samples hold the caps; no integral is taken
+    monkeypatch.setattr(schurvar.regions, "integrate_segment", refuse)
     argv = [command, "--input", write_json(INTERIOR), "--z0", "0.3", flag, str(value)]
     code = main(argv)
     err = capsys.readouterr().err

@@ -31,6 +31,8 @@ from schurvar import (
 )
 from schurvar.quadrature import integrate_segment
 from schurvar.regions import (
+    MAX_COUNT,
+    MAX_SAMPLES,
     _draw_blaschke,
     boundary_curve,
     convexity_defect,
@@ -831,6 +833,32 @@ def test_oracle_count_edge_cases():
     assert oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=0) == []
     with pytest.raises(ContractViolation):
         oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=-1)
+    # parameters that are not interior are refused at any count
+    for gamma in ((1.5,), ("0.3",), ()):
+        with pytest.raises(ContractViolation):
+            oracle_samples(gamma, half_plane(), 0, Z0, seed=1, count=0)
+
+
+def test_sizes_above_their_caps_are_refused_before_integrating(monkeypatch):
+    # the caps keep a request from exhausting memory: 10**8 samples would be
+    # a 1.6 GB array, 10**8 draws 1.4e9 raw outputs of the generator
+    class Integrated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Integrated
+
+    monkeypatch.setattr(schurvar.regions, "integrate_segment", refuse)
+    request = dict(j=0, z0=Z0, domain=half_plane())
+    with pytest.raises(ContractViolation, match=f"{MAX_SAMPLES} samples"):
+        RegionRequest.from_gamma((0.3,), samples=MAX_SAMPLES + 1, **request)
+    with pytest.raises(ContractViolation, match=f"from 0 to {MAX_COUNT}"):
+        oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=MAX_COUNT + 1)
+    # the caps themselves are accepted, and reach the quadrature
+    with pytest.raises(Integrated):
+        region(RegionRequest.from_gamma((0.3,), samples=MAX_SAMPLES, **request))
+    with pytest.raises(Integrated):
+        oracle_samples((0.3,), half_plane(), 0, Z0, seed=1, count=MAX_COUNT)
 
 
 @pytest.mark.parametrize(
@@ -1124,7 +1152,9 @@ def test_loop_and_turns_are_bit_identical_to_the_rolled_forms(name):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize(("j", "z0"), [(-1, 1e-20), (0, 1e-20), (2, 1e-20), (0, 1e-15), (2, 1e-40)])
+@pytest.mark.parametrize(
+    ("j", "z0"), [(-1, 1e-20), (0, 1e-20), (2, 1e-20), (0, 1e-15), (2, 1e-40), (-1, 1e-300)]
+)
 def test_region_below_the_rounding_of_its_centre_is_named(j, z0):
     # the epsilon-dependent part of Q is about |z0| times its centre, so
     # these samples are the witness plus rounding noise; the polygon check
@@ -1135,17 +1165,22 @@ def test_region_below_the_rounding_of_its_centre_is_named(j, z0):
 
 
 @pytest.mark.parametrize(
-    ("data", "j", "samples"),
+    ("data", "j", "z0", "samples"),
     [
-        (data_from_parameters((0.3, 0.2j)), 1000, 16),
-        (CaratheodoryData((0.0,) * 1001), 0, 64),
+        (data_from_parameters((0.3, 0.2j)), 1000, 0.5, 16),
+        (CaratheodoryData((0.0,) * 1001), 0, 0.5, 64),
+        (data_from_parameters((0.3, 0.2j)), 2000, 0.5, 16),
+        (data_from_parameters((0.3, 0.2j)), 100000, 0.5, 16),
+        (data_from_parameters((0.3, 0.2j)), 2, 1e-100, 512),
+        (data_from_parameters((0.3, 0.2j)), 0, 1e-200, 512),
     ],
-    ids=["j1000", "order1000"],
+    ids=["j1000", "order1000", "j2000", "j100000", "z0-1e-100", "z0-1e-200"],
 )
-def test_region_below_the_float_range_is_named(data, j, samples):
+def test_region_below_the_float_range_is_named(data, j, z0, samples):
     # the samples are about 2e-308 in size, so the turn test's products of
-    # edge lengths underflow to NaN
-    req = RegionRequest(data=data, j=j, z0=0.5, domain=half_plane(), samples=samples)
+    # edge lengths underflow to NaN; in the last four cells the witness and
+    # the samples underflow to 0, which is no rounding of a centre
+    req = RegionRequest(data=data, j=j, z0=z0, domain=half_plane(), samples=samples)
     with pytest.raises(GeometryDegenerate, match="^region is below the float range"):
         region(req)
 

@@ -35,19 +35,19 @@ j 0.  Four ``boundary`` commands on the half-plane data (0.5,) and
 * (0.993,) at z0 0.914, j -1, ``--samples 768``: 512, then an in-between
   batch that does not converge, so the 768 are integrated directly.
 
-Eight refusals follow, for their exit codes and stderr: ``classify`` on an
+Nine refusals follow, for their exit codes and stderr: ``classify`` on an
 input whose ``domain`` is the number 5 (exit 2), ``boundary`` on
 boundary-class data (1, 0) (exit 3), ``plot`` of a CSV whose row has two
 fields (exit 2), ``boundary --domain disk:0,0,inf`` on the half-plane
 input at z0 0.5 (exit 2), ``verify --draws 0`` (exit 2), the last
 ``boundary`` above at ``--samples 1024``, whose in-between batch holds
-epsilons of a direct batch and fails on them (exit 4), and two regions
+epsilons of a direct batch and fails on them (exit 4), and three regions
 below the float range at z0 0.5 on the half-plane (exit 4): the data of
-gamma = (0.3, 0.2i) at j 1000 with 16 samples, and order-1000 zero data
-at j 0 with 64 samples.  The script exits
-1 if any command exits with another code than the grid expects of it (0
-for all the rest), or prints a Python warning line (``file:line:
-...Warning: ...``) on stderr.
+gamma = (0.3, 0.2i) at j 1000 and at j 2000 (whose witness underflows to
+0) with 16 samples, and order-1000 zero data at j 0 with 64 samples.  The
+script exits 1 if any command exits with another code than the grid
+expects of it (0 for all the rest), or prints a Python warning line
+(``file:line: ...Warning: ...``) on stderr.
 """
 
 from __future__ import annotations
@@ -126,6 +126,14 @@ REFUSALS = [
         "boundary-order-1-j1000-16",
         [
             "boundary", "--input", "../order-1.json", "--z0=0.5", "--j", "1000",
+            "--samples", "16", "--output", "curve.csv",
+        ],
+        4,
+    ),
+    (
+        "boundary-order-1-j2000-16",
+        [
+            "boundary", "--input", "../order-1.json", "--z0=0.5", "--j", "2000",
             "--samples", "16", "--output", "curve.csv",
         ],
         4,
