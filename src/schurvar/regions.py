@@ -43,7 +43,7 @@ import numpy as np
 
 from .domains import DomainMap
 from .errors import ContractViolation, GeometryDegenerate, QuadratureNonConvergence
-from .polynomials import SchurPolynomialSet, build_polynomials, lift
+from .polynomials import SchurPolynomialSet, build_polynomials, eval_poly, lift
 from .quadrature import integrate_segment
 from .schur import (
     Boundary,
@@ -83,6 +83,14 @@ MAX_SAMPLES = 65536
 MAX_COUNT = 10000
 #: Fewest equispaced epsilons the spectral boundary integrates.
 _MIN_SPECTRAL_SAMPLES = 16
+#: The first spectral batch is sized for a coefficient of this times
+#: ``quad_tol`` at its last epsilon.  The tail check reads the upper half of
+#: the spectrum, so a margin near 1 leaves many first batches failing; one
+#: near ``quad_tol`` integrates about twice the epsilons that pass.  Over
+#: the ``boundary`` benchmark's inputs (seed 6), 1e-2 to 1e-7 took the same
+#: time within noise; 1e-2 doubled 16 % of the first batches, 1e-6 0.8 %
+#: (at 24 % more points than 1e-2) and the count of ``|z0|`` alone 0.6 %.
+_FIRST_TAIL_MARGIN = 1e-6
 _MIN_POLYGON_POINTS = 3
 #: A rejected boundary whose samples lie within this many rounding units of
 #: the witness's magnitude is reported as below the resolution of its centre.
@@ -293,28 +301,43 @@ def boundary_curve(
     ``n_samples`` equispaced unimodular epsilons ``exp(2 pi i k /
     n_samples)``, and the interior witness at ``epsilon = 0``.
 
-    A boundary value is a power series in ``epsilon`` whose coefficients
-    decay like ``|z0|^k``.  The first batch integrates ``M`` equispaced
-    epsilons, the smallest power of two ``M >= max(16, log(quad_tol) /
-    log|z0|)`` or ``n_samples`` if fewer, and ``epsilon = 0`` as one more
-    row, so every path takes its witness from it.  When the upper half of
-    the values' discrete Fourier spectrum is at most ``quad_tol``, the
-    samples are one inverse FFT of it; otherwise ``M`` doubles, and only
-    the ``M`` epsilons halfway between the old ones are integrated.  A
-    power-of-two ``n_samples`` is reached exactly; any other is resampled
-    from the first ``M`` above it, or integrated directly, after the tries,
-    when that ``M`` fails too or a batch of unrequested epsilons does not
-    converge.  The cost follows ``M``, not ``n_samples``: no batch takes
-    more points per epsilon than a superset of it, so the doublings cost no
-    more than the last ``M`` at once.  The values agree with direct
-    integration to rounding.
+    A boundary value is a power series in ``epsilon``.  It converges out to
+    the nearest ``epsilon`` where ``omega_epsilon(z0)`` meets the lift's
+    pole or ``+-1``, so its coefficients decay like the rate ``r = |z0|
+    max(|A / B|, |(At - A) / (B - Bt)|, |(At + A) / (B + Bt)|)``, the
+    polynomials read at ``z0``: ``|z0|`` times each ratio is the inverse
+    distance to one of those epsilons.  The first batch integrates ``M``
+    equispaced epsilons, the smallest power of two ``M >= max(16, log(c
+    quad_tol) / log r)`` with ``c = _FIRST_TAIL_MARGIN`` (16 when ``r``
+    underflows to 0), and ``epsilon = 0`` as one more row, so every path
+    takes its witness from it.  ``M`` is capped by ``n_samples`` and by the
+    count ``log(quad_tol) / log|z0|`` takes in its place: ``|z0|^k`` is the
+    slowest decay there is, reached by order-0 data, whose second ratio is
+    unimodular; the cap also holds where ``r`` is not below 1 in floats.
+    The coefficients' scale is not known before they are integrated, so
+    ``M`` may be too low; the tail check below still decides.  When the upper half of the values'
+    discrete Fourier spectrum is at most ``quad_tol``, the samples are one
+    inverse FFT of it; otherwise ``M`` doubles, and only the ``M``
+    epsilons halfway between the old ones are integrated.  A power-of-two
+    ``n_samples`` is reached exactly; any other is resampled from the first
+    ``M`` above it, or integrated directly, after the tries, when that
+    ``M`` fails too or a batch of unrequested epsilons does not converge.
+    The cost follows ``M``, not ``n_samples``: no batch takes more points
+    per epsilon than a superset of it, so the doublings cost no more than
+    the last ``M`` at once.  The values agree with direct integration to
+    rounding.
 
     Requires an integer ``j >= -1``, ``0 < |z0| < 1``, ``n_samples >= 4``
     and a positive, finite ``quad_tol``: the fields of a valid
     :class:`RegionRequest`, which nothing here checks again.
     """
-    decay = math.ceil(math.log(quad_tol) / math.log(abs(z0)))
-    m = min(n_samples, 1 << (max(_MIN_SPECTRAL_SAMPLES, decay) - 1).bit_length())
+    decay = math.log(quad_tol) / math.log(abs(z0))
+    rate = _decay_rate(set_, z0)
+    if rate == 0.0:
+        decay = _MIN_SPECTRAL_SAMPLES
+    elif rate < 1.0:  # NaN takes the cap too
+        decay = min(decay, math.log(_FIRST_TAIL_MARGIN * quad_tol) / math.log(rate))
+    m = min(n_samples, 1 << (max(_MIN_SPECTRAL_SAMPLES, math.ceil(decay)) - 1).bit_length())
     first = _equispaced_values(set_, j, z0, domain, m, quad_tol, True)  # and eps = 0
     values, witness = first[:-1], complex(first[-1])
     while m != n_samples:
@@ -334,6 +357,17 @@ def boundary_curve(
     if m != n_samples:
         values = _equispaced_values(set_, j, z0, domain, n_samples, quad_tol)
     return Jordan(boundary=values, interior_witness=witness)
+
+
+def _decay_rate(set_: SchurPolynomialSet, z0: complex) -> float:
+    """The largest inverse distance from 0 to an ``epsilon`` where
+    ``omega_epsilon(z0)`` meets the lift's pole, ``+1`` or ``-1``: the decay
+    rate of :func:`boundary_curve`'s series.  NaN or infinite where a
+    polynomial value is not finite or a denominator is 0 in floats."""
+    a, b, at, bt = eval_poly(set_.coeffs, z0)
+    with np.errstate(all="ignore"):
+        inverse = np.abs(np.array([a, at - a, at + a]) / np.array([b, b - bt, b + bt]))
+    return abs(z0) * float(inverse.max())
 
 
 def _resampled(values: np.ndarray, n_samples: int, quad_tol: float):

@@ -65,13 +65,18 @@ def test_pole_just_outside_the_disk_is_accepted_in_one_call(radius):
         assert len(calls) == 1
 
 
-# The one integrand call of each boundary: (epsilons, nodes), the a-priori
-# M unimodular epsilons and the witness at epsilon = 0.  Bisection took
-# three calls of 15 nodes, 45 nodes per epsilon, at every radius.
-NODES_PER_EPSILON = {0.3: (33, 13), 0.55: (65, 20), 0.7: (129, 25), 0.85: (257, 38)}
+# The integrand calls of each boundary: (epsilons, nodes), one call of the
+# M epsilons sized from the data's decay rate and the witness at epsilon =
+# 0.  The nodes per epsilon are those of the one rule pair that the
+# a-priori M = 32, 64, 128 and 256 of |z0| alone took, so each batch is one
+# rule-pair call; bisection took three calls of 15 nodes, 45 nodes per
+# epsilon, at every radius.
+RULE_PAIR_CALLS = {0.3: [(17, 13)], 0.55: [(33, 20)], 0.7: [(65, 25)], 0.85: [(129, 38)]}
+#: The epsilons (and witness) of the a-priori first batch at each radius.
+A_PRIORI_EPSILONS = {0.3: 33, 0.55: 65, 0.7: 129, 0.85: 257}
 
 
-@pytest.mark.parametrize("radius", sorted(NODES_PER_EPSILON))
+@pytest.mark.parametrize("radius", sorted(RULE_PAIR_CALLS))
 def test_boundary_takes_one_rule_pair_per_epsilon(monkeypatch, radius):
     calls = []
 
@@ -84,7 +89,8 @@ def test_boundary_takes_one_rule_pair_per_epsilon(monkeypatch, radius):
     for j in (-1, 0, 2):
         calls.clear()
         boundary_curve(s, j, radius * np.exp(0.7j), half_plane(), 512)
-        assert calls == [NODES_PER_EPSILON[radius]]
+        assert calls == RULE_PAIR_CALLS[radius]
+        assert sum(eps for eps, _ in calls) <= A_PRIORI_EPSILONS[radius]
 
 
 def test_batched_rows_match_single_calls():

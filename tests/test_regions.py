@@ -354,6 +354,53 @@ def test_boundary_cost_does_not_grow_with_sample_count(monkeypatch):
     assert totals[0] == totals[1] > 0
 
 
+def a_priori_count(z0, n):
+    """The first batch that ``log(1e-10) / log|z0|`` alone sizes: the cap."""
+    decay = math.ceil(math.log(1e-10) / math.log(abs(z0)))
+    return min(n, 1 << (max(16, decay) - 1).bit_length())
+
+
+def test_first_batch_never_exceeds_the_a_priori_count(monkeypatch):
+    # the decay rate sizes the first batch at most at the |z0| count, which
+    # order-0 data reach exactly: their second ratio is unimodular
+    batches = spy_on_batches(monkeypatch)
+    rng = np.random.default_rng(26)
+    for order in range(9):
+        for domain in SPECTRAL_DOMAINS.values():
+            for radius in (0.3, 0.55, 0.7, 0.85, 0.95):
+                modulus = 0.6 * np.sqrt(rng.random(order + 1))
+                s = build_polynomials(modulus * np.exp(2j * np.pi * rng.random(order + 1)))
+                z0 = radius * np.exp(2j * np.pi * rng.random())
+                for j in (-1, 0, 2):
+                    batches.clear()
+                    boundary_curve(s, j, z0, domain, 512)
+                    cap = a_priori_count(z0, 512)
+                    assert batches[0][0] == cap if order == 0 else batches[0][0] <= cap
+
+
+# One input per domain whose first batch, below the a-priori count, fails
+# its tail, so that the epsilons in between complete it:
+# (gamma, j, |z0|, batches).
+DOUBLING_INPUTS = {
+    "half-plane": ((0.5 - 0.1j, 0.2j), 0, 0.85, [(128, 0.0), (128, 0.5)]),
+    "strip": ((0.4 + 0.4j, -0.4 - 0.1j, 0.3 + 0.1j), -1, 0.3, [(16, 0.0), (16, 0.5)]),
+    "disk": ((-0.1 + 0.4j, -0.2 + 0.3j, 0.5 - 0.5j, -0.2 + 0.4j), -1, 0.55, [(16, 0.0), (16, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DOUBLING_INPUTS))
+def test_first_batch_whose_tail_fails_doubles_to_direct_values(monkeypatch, label):
+    batches = spy_on_batches(monkeypatch)
+    gamma, j, radius, want_batches = DOUBLING_INPUTS[label]
+    domain = SPECTRAL_DOMAINS[label]
+    s = build_polynomials(gamma)
+    z0 = radius * np.exp(0.7j)
+    values = boundary_curve(s, j, z0, domain, 512).boundary
+    assert batches == want_batches
+    assert batches[0][0] < a_priori_count(z0, 512)
+    assert np.max(np.abs(values - direct_boundary(s, j, z0, domain, 512))) < 1e-13
+
+
 # The interior witness is the last row of boundary_curve's first batch, so
 # on every path it must equal a separate epsilon = 0 integral to rounding.
 
@@ -1169,17 +1216,20 @@ def test_region_below_the_rounding_of_its_centre_is_named(j, z0):
     [
         (data_from_parameters((0.3, 0.2j)), 1000, 0.5, 16),
         (CaratheodoryData((0.0,) * 1001), 0, 0.5, 64),
+        (CaratheodoryData((0.0,) * 1001), 0, 0.1, 64),
         (data_from_parameters((0.3, 0.2j)), 2000, 0.5, 16),
         (data_from_parameters((0.3, 0.2j)), 100000, 0.5, 16),
         (data_from_parameters((0.3, 0.2j)), 2, 1e-100, 512),
         (data_from_parameters((0.3, 0.2j)), 0, 1e-200, 512),
     ],
-    ids=["j1000", "order1000", "j2000", "j100000", "z0-1e-100", "z0-1e-200"],
+    ids=["j1000", "order1000", "order1000-z0-0.1", "j2000", "j100000", "z0-1e-100", "z0-1e-200"],
 )
 def test_region_below_the_float_range_is_named(data, j, z0, samples):
     # the samples are about 2e-308 in size, so the turn test's products of
-    # edge lengths underflow to NaN; in the last four cells the witness and
-    # the samples underflow to 0, which is no rounding of a centre
+    # edge lengths underflow to NaN; in the last five cells the witness and
+    # the samples underflow to 0, which is no rounding of a centre.  At z0
+    # 0.1 the order-1000 data's decay rate |z0|^1001 underflows to 0 too,
+    # and the first batch takes the fewest epsilons
     req = RegionRequest(data=data, j=j, z0=z0, domain=half_plane(), samples=samples)
     with pytest.raises(GeometryDegenerate, match="^region is below the float range"):
         region(req)
