@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=42, help="RNG seed")
     # 4096 vertices, tighter than a plot needs, still miss members near the
     # circle: --count 10000 --seed 3 --j 0, gamma (0.3+0.2i, -0.4i, 0.5, 0.1-0.3i),
-    # half-plane: 9982 and 9872 inside at z0 0.9, 0.95 (ROADMAP: supporting lines)
+    # half-plane: 9982 and 9870 inside at z0 0.9, 0.95 (ROADMAP: supporting lines)
     p_sample.set_defaults(handler=cmd_sample, samples=4096)
 
     p_verify = sub.add_parser("verify", help="run the polynomial-law suites")

@@ -31,8 +31,7 @@ the data realized by ``gamma`` is the Schur lift
     omega(z) = (z At(z) omega_*(z) + Bt(z)) / (z A(z) omega_*(z) + B(z)),
 
 whose difference quotient ``(omega(z) - gamma_0) / z`` :func:`lift`
-computes, and the one-point slice ``{omega(z)}`` is exactly a closed disk
-whose center and radius are returned by :func:`variability_disk`.
+computes, and the one-point slice ``{omega(z)}`` is exactly a closed disk.
 
 The quadruple is stored as one ``(4, n+1)`` complex array with rows ``A``,
 ``B``, ``At``, ``Bt`` (ascending coefficients), which :func:`eval_poly`
@@ -166,34 +165,6 @@ def lift(set_: SchurPolynomialSet, w_star, z):
     """
     av, bv, cv, dv = eval_poly(set_.lift_rows, z)
     return (w_star * cv + dv) / (z * w_star * av + bv)
-
-
-@dataclass(frozen=True)
-class VariabilityDisk:
-    center: complex
-    radius: float
-
-
-def variability_disk(set_: SchurPolynomialSet, z) -> VariabilityDisk:
-    """The exact disk swept by ``omega(z)`` over all interpolants.
-
-    center = (conj(B) Bt - |z|^2 conj(A) At) / (|B|^2 - |z|^2 |A|^2)
-    radius = |z|^{n+1} prod(1 - |gamma_k|^2) / (|B|^2 - |z|^2 |A|^2)
-
-    The denominator is positive on the open disk by coercivity, so the
-    formula never degenerates.  For ``|eps| = 1`` the rational interpolant
-    lands exactly on the boundary circle; for ``|eps| < 1`` it is at
-    distance ``|eps| * radius`` from the center, hence strictly inside.
-    """
-    zc = complex(z)
-    if not abs(zc) < 1.0:  # also rejects NaN
-        raise ContractViolation("variability_disk requires |z| < 1")
-    av, bv, atv, btv = eval_poly(set_.coeffs, zc).tolist()
-    zsq = abs(zc) ** 2
-    den = abs(bv) ** 2 - zsq * abs(av) ** 2
-    center = (bv.conjugate() * btv - zsq * av.conjugate() * atv) / den
-    radius = abs(zc) ** (set_.order + 1) * set_.contraction_product / den
-    return VariabilityDisk(center=complex(center), radius=float(radius))
 
 
 def identity_residuals(gamma: Sequence[complex]) -> dict[str, float]:

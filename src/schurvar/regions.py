@@ -76,10 +76,11 @@ _MIN_BOUNDARY_SAMPLES = 4
 #: seen, where the samples are integrated directly as (samples x 15) arrays
 #: (65535 of data 0.993 at z0 0.914, j -1; exit 4).
 MAX_SAMPLES = 65536
-#: Largest oracle draw count.  The oracle builds (count x nodes) complex
-#: arrays one Blaschke zero column at a time, with up to 48 nodes per rule
-#: pair: ``schurvar sample`` peaks near 57 MB at 10000 draws at |z0| = 0.5
-#: and 85 MB at 0.9, where the pair is largest (same data and host).
+#: Largest oracle draw count.  The oracle draws one (count x 14) block of
+#: uniforms and builds its products' numerators and denominators as (count x
+#: nodes) complex arrays, with up to 48 nodes per rule pair: ``schurvar
+#: sample`` at 10000 draws peaks near 56 MB at |z0| = 0.5 and 84 MB at 0.9,
+#: where the pair is largest (same data and host, j 0, seeds 3 and 42).
 MAX_COUNT = 10000
 #: Fewest equispaced epsilons the spectral boundary integrates.
 _MIN_SPECTRAL_SAMPLES = 16
@@ -96,14 +97,6 @@ _MIN_POLYGON_POINTS = 3
 #: the witness's magnitude is reported as below the resolution of its centre.
 _UNRESOLVED_ULPS = 64
 _MAX_BLASCHKE_DEGREE = 6
-#: A draw's degree is ``integers(0, _DEGREE_SPAN)``: Lemire's method scales a
-#: 32-bit half by the span and rejects the product's low words below
-#: ``(2**32 - span) % span``.
-_DEGREE_SPAN = _MAX_BLASCHKE_DEGREE + 1
-_LEMIRE_THRESHOLD = (2**32 - _DEGREE_SPAN) % _DEGREE_SPAN
-#: 64-bit outputs that one draw takes at most without a rejection: one for its
-#: degree and one per uniform.
-_RAWS_PER_DRAW = 2 * _MAX_BLASCHKE_DEGREE + 2
 #: Consecutive edges per block of the pruned point-against-edges geometry.
 #: Smaller blocks prune more pairs but cost one more Python step each.
 _EDGE_BLOCK = 64
@@ -479,60 +472,26 @@ def _raise_if_unresolved(jordan: Jordan) -> None:
 
 def _draw_blaschke(
     rng: np.random.Generator, count: int
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``count`` Blaschke products: degrees, zeros and their mask padded to
     ``(count, _MAX_BLASCHKE_DEGREE)``, and front factors.
 
-    Each draw takes its degree by ``rng.integers(0, _MAX_BLASCHKE_DEGREE +
-    1)``, then one ``2 * degree + 1`` block of ``rng.random`` uniforms split
-    into radii, angles and the front's angle.  That stream is read here from
-    one ``random_raw`` call of ``rng``'s PCG64 bit generator, as numpy
-    derives it from the 64-bit outputs:
-
-    * a degree is Lemire's bounded integer of a 32-bit half, rejected while
-      the low word of ``half * span`` is below ``_LEMIRE_THRESHOLD``; the
-      low half of an output is taken first and the high half kept for the
-      next degree, starting from a half the generator already holds.  This
-      integer-only pass records where each draw's uniforms start;
-    * a uniform is ``(output >> 11) * 2**-53``, mapped once over the outputs
-      used and gathered into the drawn zeros' radii and angles and the
-      fronts.
-
-    Only the drawn zeros are mapped to the disk; a padded slot stays exactly
-    0.  The generator is left past every output drawn, used or not.
+    All draws come from one ``rng.random((count, 14))`` block, one row per
+    draw: column 0 gives the degree ``floor(7 u)``, columns 1-6 the zeros'
+    radii and 7-12 their angles (a draw of lower degree ignores the unused
+    columns), and column 13 the front's angle.  A zero is ``0.95 sqrt(r)
+    exp(2 pi i theta)``, area-uniform in the disk of radius 0.95; only the
+    drawn zeros are mapped, and a padded slot stays exactly 0.  A batch of
+    ``k`` draws is the first ``k`` rows of a larger batch from the same seed.
     """
-    bits = rng.bit_generator
-    state = bits.state
-    half = state["uinteger"] if state["has_uint32"] else None
-    raws = bits.random_raw(_RAWS_PER_DRAW * count)
-    degrees = [0] * count
-    starts = [0] * count
-    at = 0
-    for i in range(count):
-        while True:
-            if half is None:
-                if at + _RAWS_PER_DRAW > len(raws):  # rejected halves took the room
-                    more = bits.random_raw(_RAWS_PER_DRAW * (count - i))
-                    raws = np.concatenate((raws, more))
-                raw = raws.item(at)
-                at += 1
-                scaled, half = (raw & 0xFFFFFFFF) * _DEGREE_SPAN, raw >> 32
-            else:
-                scaled, half = half * _DEGREE_SPAN, None
-            if scaled & 0xFFFFFFFF >= _LEMIRE_THRESHOLD:
-                break
-        degrees[i] = scaled >> 32
-        starts[i] = at
-        at += 2 * degrees[i] + 1
-
-    uniform = (raws[:at] >> np.uint64(11)) * 2.0**-53
-    degree, start = np.array(degrees), np.array(starts)
-    mask = np.arange(_MAX_BLASCHKE_DEGREE) < degree[:, None]
-    radius_at = (start[:, None] + np.arange(_MAX_BLASCHKE_DEGREE))[mask]
-    angular = 2.0 * np.pi * uniform[radius_at + np.repeat(degree, degree)]
-    zeros = np.zeros((count, _MAX_BLASCHKE_DEGREE), dtype=np.complex128)
-    zeros[mask] = 0.95 * np.sqrt(uniform[radius_at]) * np.exp(1j * angular)
-    return degrees, zeros, mask, np.exp(2j * np.pi * uniform[start + 2 * degree])
+    d = _MAX_BLASCHKE_DEGREE
+    uniform = rng.random((count, 2 * d + 2))
+    degrees = (uniform[:, 0] * (d + 1)).astype(np.intp)
+    mask = np.arange(d) < degrees[:, None]
+    radii, angles = uniform[:, 1 : d + 1][mask], uniform[:, d + 1 : 2 * d + 1][mask]
+    zeros = np.zeros((count, d), dtype=np.complex128)
+    zeros[mask] = 0.95 * np.sqrt(radii) * np.exp(1j * (2.0 * np.pi * angles))
+    return degrees, zeros, mask, np.exp(2j * np.pi * uniform[:, 2 * d + 1])
 
 
 def oracle_samples(
@@ -549,17 +508,19 @@ def oracle_samples(
     Each draw is a random finite Blaschke product (degree uniform on 0..6,
     zeros area-uniform in the disk of radius 0.95, unimodular front
     factor) lifted through the polynomial set and integrated.  All draws
-    come from one PCG64 stream seeded with ``seed``, as one
-    ``integers(0, 7)`` and one ``random(2 * degree + 1)`` call per draw
-    would give it (read from one batch of raw outputs, see
-    :func:`_draw_blaschke`).  The whole batch is integrated together,
-    sorted by degree, highest first, so that each zero's factor is
-    multiplied into the prefix of draws that have that zero; the values go
-    back in draw order.  ``domain``, ``j`` and ``z0`` are checked as in
-    :class:`RegionRequest`, ``quad_tol`` as in :class:`ToleranceConfig`,
-    ``seed`` as a non-negative integer, ``count`` as an integer in ``[0,
-    MAX_COUNT]`` and ``gamma`` as interior parameters, at any ``count`` and
-    before anything is drawn or integrated.
+    come from one ``default_rng(seed).random((count, 14))`` block, one row
+    per draw (the column layout is in :func:`_draw_blaschke`), so the first
+    ``k`` draws of a batch are the batch of ``k``.  The whole batch is
+    integrated together, sorted by degree, highest first, so that each
+    zero's factors are multiplied into the prefix of draws that have that
+    zero: the numerator ``front * prod(zeta - a)`` and the denominator
+    ``prod(1 - conj(a) zeta)`` are accumulated apart and divided once.  The
+    values go back in draw order.  ``domain``, ``j`` and ``z0`` are checked
+    as in :class:`RegionRequest`, ``quad_tol`` as in
+    :class:`ToleranceConfig`, ``seed`` as a non-negative integer, ``count``
+    as an integer in ``[0, MAX_COUNT]`` and ``gamma`` as interior
+    parameters, at any ``count`` and before anything is drawn or
+    integrated.
     """
     _check_domain(domain)
     j, z0 = _check_weight_and_endpoint(j, z0)
@@ -573,25 +534,30 @@ def oracle_samples(
     set_ = build_polynomials(gamma)
     if count == 0:
         return []
-    rng = np.random.default_rng(seed)
-    degrees, zeros_mat, mask, fronts = _draw_blaschke(rng, count)
+    degrees, zeros_mat, mask, fronts = _draw_blaschke(np.random.default_rng(seed), count)
     # by degree, highest first: the draws with a k-th zero are a prefix
-    order = np.argsort(-np.array(degrees), kind="stable")
+    order = np.argsort(-degrees, kind="stable")
     sorted_zeros = zeros_mat[order]
     sorted_fronts = fronts[order, None]
     having = np.count_nonzero(mask, axis=0).tolist()
 
     def f(zeta):
-        # one zero column at a time, so no array is larger than (count, nodes)
-        product = np.ones((count, len(zeta)), dtype=np.complex128)
+        # one zero column at a time, so no array is larger than (count,
+        # nodes); |den| >= 0.05**6, since |zeta| < 1 and |a| <= 0.95
+        num = np.empty((count, len(zeta)), dtype=np.complex128)
+        num[:] = sorted_fronts
+        den = np.ones_like(num)
         for k, n in enumerate(having):
             z = sorted_zeros[:n, k, None]
-            product[:n] *= (zeta - z) / (1.0 - np.conjugate(z) * zeta)
-        return integrand(set_, sorted_fronts * product, j, domain, zeta)
+            num[:n] *= zeta - z
+            den[:n] *= 1.0 - np.conjugate(z) * zeta
+        num /= den
+        return integrand(set_, num, j, domain, zeta)
 
     values = np.empty(count, dtype=np.complex128)
     values[order] = integrate_segment(f, z0, quad_tol)
     drawn = zeros_mat[mask].tolist()  # each draw's zeros in turn
+    degrees = degrees.tolist()
     zeros = [tuple(drawn[end - d : end]) for d, end in zip(degrees, accumulate(degrees))]
     return list(map(OracleSample._make, zip(zeros, fronts.tolist(), values.tolist())))
 
@@ -762,26 +728,3 @@ def contains(result, w, geom_tol: float = ToleranceConfig.geom_tol) -> bool:
     if np.ndim(w) != 0:
         raise ContractViolation("contains takes one point; containment_depths takes several")
     return bool(containment_depths(result, w)[0] <= geom_tol)
-
-
-def enclosed_area(boundary) -> float:
-    """Signed area enclosed by equispaced samples of a closed curve.
-
-    Computes ``pi * sum_k k |c_k|^2`` from the discrete Fourier
-    coefficients of the samples — the exact area of the trigonometric
-    interpolant.  For analytic curves (every boundary produced here) the
-    aliasing error decays geometrically in the sample count, so doubling
-    the sampling leaves the value unchanged to near machine precision;
-    polygon shoelace area would instead drift at O(N^-2).  Positive for
-    counterclockwise curves.  ``boundary`` is a 1-D sequence of at least 4
-    samples, held by numpy as integers, floats or complex numbers.
-    """
-    v = _numbers(boundary, "boundary samples")
-    if v.ndim != 1 or len(v) < _MIN_BOUNDARY_SAMPLES:
-        raise ContractViolation(
-            f"enclosed_area needs a 1-D sequence of at least {_MIN_BOUNDARY_SAMPLES} samples"
-        )
-    n = len(v)
-    coeffs = np.fft.fft(v) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return float(np.pi * np.sum(k * np.abs(coeffs) ** 2))

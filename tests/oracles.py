@@ -2,9 +2,10 @@
 
 None of these is part of the product: the per-row recurrence of the
 polynomial quadruple, the nested Möbius form of the interpolant, the
-closed-form log f' curve of the bounded-derivative special case, the
-convex hull, the point-to-polyline distance and the Hausdorff distance
-only cross-check the polynomials, regions and interpolants that
+exact pointwise variability disk, the spectral area of a sampled closed
+curve, the closed-form log f' curve of the bounded-derivative special
+case, the convex hull, the point-to-polyline distance and the Hausdorff
+distance only cross-check the polynomials, regions and interpolants that
 ``schurvar`` computes.  The earlier forms of a few helpers (Horner
 evaluation through ``np.moveaxis``, lift rows through ``np.stack``, the
 strip's quotient through two ``np.where`` passes, polygon edges and turns
@@ -15,12 +16,15 @@ bit for bit.  The distance is the plain formula over the whole
 its inputs to a few thousand points a side.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from schurvar.domains import DomainMap, half_plane
 from schurvar.errors import ContractViolation, DegenerateDenominator, SchurvarError
+from schurvar.polynomials import SchurPolynomialSet, eval_poly
+from schurvar.regions import _MIN_BOUNDARY_SAMPLES, _numbers
 from schurvar.schur import CaratheodoryData
 
 #: Denominators smaller than this are treated as exact zeros.
@@ -131,6 +135,57 @@ def out_of_place_resampled(values: np.ndarray, n_samples: int, quad_tol: float):
     folded[:kept] = coeffs[:kept]
     folded[: m - kept] += coeffs[kept:]
     return np.fft.ifft(folded) * n_samples
+
+
+@dataclass(frozen=True)
+class VariabilityDisk:
+    center: complex
+    radius: float
+
+
+def variability_disk(set_: SchurPolynomialSet, z) -> VariabilityDisk:
+    """The exact disk swept by ``omega(z)`` over all interpolants.
+
+    center = (conj(B) Bt - |z|^2 conj(A) At) / (|B|^2 - |z|^2 |A|^2)
+    radius = |z|^{n+1} prod(1 - |gamma_k|^2) / (|B|^2 - |z|^2 |A|^2)
+
+    The denominator is positive on the open disk by coercivity, so the
+    formula never degenerates.  For ``|eps| = 1`` the rational interpolant
+    lands exactly on the boundary circle; for ``|eps| < 1`` it is at
+    distance ``|eps| * radius`` from the center, hence strictly inside.
+    """
+    zc = complex(z)
+    if not abs(zc) < 1.0:  # also rejects NaN
+        raise ContractViolation("variability_disk requires |z| < 1")
+    av, bv, atv, btv = eval_poly(set_.coeffs, zc).tolist()
+    zsq = abs(zc) ** 2
+    den = abs(bv) ** 2 - zsq * abs(av) ** 2
+    center = (bv.conjugate() * btv - zsq * av.conjugate() * atv) / den
+    radius = abs(zc) ** (set_.order + 1) * set_.contraction_product / den
+    return VariabilityDisk(center=complex(center), radius=float(radius))
+
+
+def enclosed_area(boundary) -> float:
+    """Signed area enclosed by equispaced samples of a closed curve.
+
+    Computes ``pi * sum_k k |c_k|^2`` from the discrete Fourier
+    coefficients of the samples — the exact area of the trigonometric
+    interpolant.  For analytic curves (every boundary produced here) the
+    aliasing error decays geometrically in the sample count, so doubling
+    the sampling leaves the value unchanged to near machine precision;
+    polygon shoelace area would instead drift at O(N^-2).  Positive for
+    counterclockwise curves.  ``boundary`` is a 1-D sequence of at least 4
+    samples, held by numpy as integers, floats or complex numbers.
+    """
+    v = _numbers(boundary, "boundary samples")
+    if v.ndim != 1 or len(v) < _MIN_BOUNDARY_SAMPLES:
+        raise ContractViolation(
+            f"enclosed_area needs a 1-D sequence of at least {_MIN_BOUNDARY_SAMPLES} samples"
+        )
+    n = len(v)
+    coeffs = np.fft.fft(v) / n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return float(np.pi * np.sum(k * np.abs(coeffs) ** 2))
 
 
 class BranchCutHit(SchurvarError):

@@ -32,13 +32,13 @@ from schurvar.polynomials import lift
 from schurvar.regions import (
     boundary_curve,
     convexity_defect,
-    enclosed_area,
     q_value,
 )
 
 from oracles import (
     convex_hull,
     distance_to_boundary,
+    enclosed_area,
     hausdorff_distance,
     log_derivative_curve,
     log_derivative_setup,

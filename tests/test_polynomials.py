@@ -14,9 +14,15 @@ from schurvar import (
     data_from_parameters,
     identity_residuals,
 )
-from schurvar.polynomials import eval_poly, lift, variability_disk
+from schurvar.polynomials import eval_poly, lift
 
-from oracles import moveaxis_eval_poly, omega_nested, polynomial_rows, stacked_lift_rows
+from oracles import (
+    moveaxis_eval_poly,
+    omega_nested,
+    polynomial_rows,
+    stacked_lift_rows,
+    variability_disk,
+)
 
 
 def disk_points(radius: float):

@@ -36,7 +36,6 @@ from schurvar.regions import (
     _draw_blaschke,
     boundary_curve,
     convexity_defect,
-    enclosed_area,
     integrand,
     q_value,
 )
@@ -46,6 +45,7 @@ from oracles import (
     angle_grid,
     convex_hull,
     distance_to_boundary,
+    enclosed_area,
     hausdorff_distance,
     log_derivative_curve,
     log_derivative_setup,
@@ -778,79 +778,26 @@ def test_oracle_rejects_non_finite_parameters():
             oracle_samples((0.0, bad), half_plane(), -1, Z0, seed=11, count=8)
 
 
-def three_call_draw(rng):
-    degree = int(rng.integers(0, 7))
-    radii = 0.95 * np.sqrt(rng.random(degree))
-    angles = 2.0 * np.pi * rng.random(degree)
-    zeros = radii * np.exp(1j * angles)
-    front = complex(np.exp(2j * np.pi * rng.random()))
-    return degree, zeros, front
+def documented_draws(seed, count):
+    """Degree, zeros and front of each draw, mapped row by row from one
+    ``random((count, 14))`` block as the oracle documents it."""
+    for row in np.random.default_rng(seed).random((count, 14)):
+        degree = int(7 * row[0])
+        radii = 0.95 * np.sqrt(row[1 : 1 + degree])
+        zeros = radii * np.exp(1j * (2.0 * np.pi * row[7 : 7 + degree]))
+        yield degree, zeros, complex(np.exp(2j * np.pi * row[13]))
 
 
-def test_oracle_draws_equal_one_uniform_call_per_factor():
-    for seed in (0, 5, 2024):
-        draws = oracle_samples((0.3, 0.1j), strip(), 0, 0.4, seed=seed, count=300)
-        rng = np.random.default_rng(seed)
-        for got in draws:
-            degree, zeros, front = three_call_draw(rng)
-            assert len(got.zeros) == degree
-            assert got.zeros == tuple(zeros.tolist())
-            assert got.unimodular_factor == front
-
-
-#: A 32-bit half that integers(0, 7) rejects: 7 times it is 2**32 + 3, and
-#: Lemire's method rejects a low word below (2**32 - 7) % 7 = 4.
-REJECTED_HALF = 613566757
-PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def planted(seed, buffered=REJECTED_HALF, next_raw=None):
-    """A PCG64 generator that holds ``buffered`` as its spare 32-bit half and,
-    given ``next_raw``, whose next 64-bit output is that value: the state is
-    stepped back from one whose XSL-RR output is ``next_raw``."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, buffered
-    if next_raw is not None:
-        high = 0xFEDCBA9876543210  # its top 6 bits are the output's rotation
-        turn = high >> 58
-        xored = ((next_raw << turn) | (next_raw >> (64 - turn))) & (2**64 - 1)
-        stepped = (high << 64) | (xored ^ high)
-        back = (stepped - state["state"]["inc"]) * pow(PCG64_MULTIPLIER, -1, 2**128)
-        state["state"]["state"] = back % 2**128
-    rng.bit_generator.state = state
-    return rng
-
-
-def assert_draws_follow_numpy(seed, count, **plant):
-    degrees, zeros, mask, fronts = _draw_blaschke(planted(seed, **plant), count)
-    rng = planted(seed, **plant)
-    for i in range(count):
-        degree, want, front = three_call_draw(rng)
-        assert degrees[i] == degree
-        assert mask[i].tolist() == [k < degree for k in range(6)]
-        assert zeros[i, :degree].tolist() == want.tolist()
-        assert not np.any(zeros[i, degree:])
-        assert fronts[i] == front
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 301])
-@pytest.mark.parametrize("buffered", [REJECTED_HALF, 2**31])
-def test_batch_draws_take_a_buffered_half_as_numpy_does(count, buffered):
-    # the buffered half is rejected, or taken as the first degree (3)
-    assert (REJECTED_HALF * 7) % 2**32 == 3
-    for seed in (0, 9):
-        assert_draws_follow_numpy(seed, count, buffered=buffered)
-
-
-def test_batch_draws_draw_more_raws_after_rejected_halves():
-    # the buffered half and both halves of the next output are rejected, so
-    # the one draw takes one output more than the batch holds; at this seed
-    # its degree is 6, and its last uniform lies in the outputs drawn after
-    raw = REJECTED_HALF | REJECTED_HALF << 32
-    assert planted(12, next_raw=raw).bit_generator.random_raw() == raw
-    assert three_call_draw(planted(12, next_raw=raw))[0] == 6
-    assert_draws_follow_numpy(12, 1, next_raw=raw)
+@pytest.mark.parametrize("count", [1, 2, 301])
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_oracle_draws_equal_the_rows_of_one_uniform_block(seed, count):
+    draws = oracle_samples((0.3, 0.1j), strip(), 0, 0.4, seed=seed, count=count)
+    want = list(documented_draws(seed, count))
+    assert len(draws) == len(want) == count
+    for got, (degree, zeros, front) in zip(draws, want):
+        assert len(got.zeros) == degree
+        assert got.zeros == tuple(zeros.tolist())
+        assert got.unimodular_factor == front
 
 
 def test_oracle_draw_shapes():
@@ -860,13 +807,43 @@ def test_oracle_draw_shapes():
         assert len(s.zeros) <= 6
         assert all(abs(z) <= 0.95 + 1e-12 for z in s.zeros)
         assert abs(abs(s.unimodular_factor) - 1.0) < 1e-12
+    # a batch large enough to hold every degree: padded slots are exactly 0
+    degrees, zeros, mask, fronts = _draw_blaschke(np.random.default_rng(5), 7000)
+    assert sorted(set(degrees.tolist())) == list(range(7))
+    assert mask.tolist() == [[k < d for k in range(6)] for d in degrees.tolist()]
+    assert np.all(zeros[~mask] == 0.0)
+    assert np.all(zeros[mask] != 0.0)
+    assert np.max(np.abs(zeros)) <= 0.95
+    assert np.max(np.abs(np.abs(fronts) - 1.0)) < 1e-12
+
+
+def test_oracle_product_is_the_blaschke_product_to_rounding(monkeypatch):
+    # the batch divides its accumulated numerator by its denominator once;
+    # each row must be front * prod (zeta - a) / (1 - conj(a) zeta), formed
+    # one factor at a time, to a few rounding units
+    seen = []
+
+    def recording(set_, w_star, j, domain, zeta):
+        seen.append((w_star.copy(), zeta))
+        return integrand(set_, w_star, j, domain, zeta)
+
+    monkeypatch.setattr(schurvar.regions, "integrand", recording)
+    draws = oracle_samples((0.3 + 0.2j, -0.4j, 0.5), strip(), 0, 0.9, seed=8, count=200)
+    order = np.argsort([-len(s.zeros) for s in draws], kind="stable")
+    assert seen
+    for got, zeta in seen:
+        for row, i in zip(got, order):
+            want = np.full(len(zeta), draws[i].unimodular_factor)
+            for a in draws[i].zeros:
+                want = want * (zeta - a) / (1.0 - np.conjugate(a) * zeta)
+            assert np.max(np.abs(row - want)) <= 1e-14
 
 
 def test_degenerate_draw_reduces_to_constant_epsilon():
     gamma = (0.0, 0.5)
     s = build_polynomials(gamma)
     for seed in range(60):
-        if int(np.random.default_rng(seed).integers(0, 7)) == 0:
+        if int(7 * np.random.default_rng(seed).random((1, 14))[0, 0]) == 0:
             got = oracle_samples(gamma, half_plane(), -1, Z0, seed=seed, count=1)[0]
             assert len(got.zeros) == 0
             want = q_value(s, -1, Z0, got.unimodular_factor, half_plane())
@@ -888,7 +865,7 @@ def test_oracle_count_edge_cases():
 
 def test_sizes_above_their_caps_are_refused_before_integrating(monkeypatch):
     # the caps keep a request from exhausting memory: 10**8 samples would be
-    # a 1.6 GB array, 10**8 draws 1.4e9 raw outputs of the generator
+    # a 1.6 GB array, 10**8 draws an 11.2 GB block of uniforms (14 a draw)
     class Integrated(Exception):
         pass
 
